@@ -99,6 +99,11 @@ func main() {
 		"print one report line per seed (deterministic at any -parallel; CI byte-compares this)")
 	flag.Parse()
 
+	if err := checkNumbers(*repeat, *depth, *threads, *gcWorkers, *benchReps); err != nil {
+		fmt.Fprintln(os.Stderr, "gcbench:", err)
+		os.Exit(2)
+	}
+
 	if *bench || *benchJSON != "" || *benchBaseline != "" {
 		runBenchCLI(*benchJSON, *benchBaseline, *benchGate, *benchSpeedup, *benchReps, *benchRef)
 		return
@@ -230,6 +235,23 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkNumbers rejects numeric flag values no run can use: negative
+// scales, thread counts, worker counts and repetitions.
+func checkNumbers(repeat, depth float64, threads, gcWorkers, benchReps int) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"repeat", repeat}, {"depth", depth}, {"threads", float64(threads)},
+		{"gc-workers", float64(gcWorkers)}, {"bench-reps", float64(benchReps)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %g is negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // writeAdaptStore serializes the collected advisor profiles.

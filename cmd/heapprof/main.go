@@ -35,6 +35,11 @@ func main() {
 		"summarize the advisor store at FILE and exit (no benchmark run)")
 	flag.Parse()
 
+	if err := checkNumbers(*repeat, *depth, *cutoff); err != nil {
+		fmt.Fprintln(os.Stderr, "heapprof:", err)
+		os.Exit(2)
+	}
+
 	if *inspectStore != "" {
 		if err := inspect(*inspectStore); err != nil {
 			fmt.Fprintln(os.Stderr, "heapprof:", err)
@@ -87,6 +92,20 @@ func main() {
 		fmt.Printf("\nExported %d sites (%d pretenured) to advisor store %s\n",
 			len(profile.Sites), countPretenured(profile), *exportStore)
 	}
+}
+
+// checkNumbers rejects numeric flag values no run can use: negative
+// scales and an old% cutoff outside 0-100.
+func checkNumbers(repeat, depth, cutoff float64) error {
+	switch {
+	case repeat < 0:
+		return fmt.Errorf("-repeat %g is negative", repeat)
+	case depth < 0:
+		return fmt.Errorf("-depth %g is negative", depth)
+	case cutoff < 0 || cutoff > 100:
+		return fmt.Errorf("-cutoff %g is outside 0-100", cutoff)
+	}
+	return nil
 }
 
 // writeStore serializes a single-profile advisor store.

@@ -188,13 +188,8 @@ func NewPretenurePolicy(sites map[SiteID]PretenureDecision) *PretenurePolicy {
 
 // Runtime is a simulated runtime plus collector.
 type Runtime struct {
-	cfg      Config
-	meter    *costmodel.Meter
-	table    *rt.TraceTable
-	stack    *rt.Stack
-	col      core.Collector
-	mutator  *workload.Mutator
-	profiler *prof.Profiler
+	rt      *harness.Runtime
+	mutator *workload.Mutator
 }
 
 // NewRuntime builds a runtime per cfg. The configuration must be valid
@@ -202,79 +197,43 @@ type Runtime struct {
 // ignore panic here instead of silently running a different experiment.
 func NewRuntime(cfg Config) *Runtime {
 	mustValidate(cfg)
-	meter := costmodel.NewMeter()
-	table := rt.NewTraceTable()
-	stack := rt.NewStack(table, meter)
-	var profiler *prof.Profiler
-	var hook core.Profiler
-	if cfg.Profile {
-		profiler = prof.New(cfg.SiteNames)
-		hook = profiler
+	r, err := harness.Build(cfg.spec())
+	if err != nil {
+		panic(err) // unreachable: mustValidate checked the same Spec
 	}
-	budget := cfg.BudgetWords
+	return &Runtime{rt: r, mutator: r.Mutator()}
+}
+
+// spec maps the configuration onto the harness's runtime Spec.
+func (c Config) spec() harness.Spec {
+	budget := c.BudgetWords
 	if budget == 0 {
 		budget = 512 << 20
 	}
-	var col core.Collector
-	var attachThreads func(*rt.ThreadSet)
-	switch cfg.Collector {
-	case Semispace:
-		// MarkerN passes through: §5's stack markers apply to the semispace
-		// collector too (the cfg used to pin this to 0, silently ignoring a
-		// requested spacing — one of the gaps Validate now closes by wiring
-		// rather than rejecting, since the core supports it).
-		s := core.NewSemispace(stack, meter, hook, core.SemispaceConfig{
-			BudgetWords: budget,
-			MarkerN:     cfg.MarkerN,
-			Workers:     cfg.GCWorkers,
-		})
-		col = s
-		attachThreads = s.AttachThreads
-	default:
-		gcfg := core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: cfg.NurseryWords,
-			UseCardTable: cfg.CardTable,
-			AgingMinors:  cfg.AgingMinors,
-			Workers:      cfg.GCWorkers,
-			DeferMajor:   cfg.DeferMajor,
-			OldCollector: cfg.OldCollector,
-		}
-		if cfg.Collector >= GenerationalMarkers {
-			gcfg.MarkerN = cfg.MarkerN
-			if gcfg.MarkerN == 0 {
-				gcfg.MarkerN = 25
-			}
-		}
-		if cfg.Collector == GenerationalFull {
-			gcfg.Pretenure = cfg.Pretenure
-			gcfg.ScanElision = cfg.ScanElision
-		}
-		g := core.NewGenerational(stack, meter, hook, gcfg)
-		col = g
-		attachThreads = g.AttachThreads
+	g := core.GenConfig{
+		BudgetWords:  budget,
+		NurseryWords: c.NurseryWords,
+		MarkerN:      c.MarkerN,
+		AgingMinors:  c.AgingMinors,
+		Pretenure:    c.Pretenure,
+		ScanElision:  c.ScanElision,
+		UseCardTable: c.CardTable,
+		Workers:      c.GCWorkers,
+		DeferMajor:   c.DeferMajor,
+		OldCollector: c.OldCollector,
 	}
-	// The thread set exists only for T > 1, so single-thread runtimes run
-	// the exact pre-thread code paths.
-	var threads *rt.ThreadSet
-	if cfg.Threads > 1 {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-		for i := 1; i < cfg.Threads; i++ {
-			threads.Spawn()
+	if c.Collector == GenerationalMarkers || c.Collector == GenerationalFull {
+		if g.MarkerN == 0 {
+			g.MarkerN = 25
 		}
 	}
-	r := &Runtime{
-		cfg:      cfg,
-		meter:    meter,
-		table:    table,
-		stack:    stack,
-		col:      col,
-		profiler: profiler,
+	return harness.Spec{
+		Semispace: c.Collector == Semispace,
+		Collector: g,
+		Threads:   c.Threads,
+		Profile:   c.Profile,
+		SiteNames: c.SiteNames,
 	}
-	r.mutator = workload.NewMutator(col, stack, table, meter)
-	r.mutator.Threads = threads
-	return r
 }
 
 // Mutator returns the mutator API for writing programs against this
@@ -283,35 +242,35 @@ func (r *Runtime) Mutator() *Mutator { return r.mutator }
 
 // Collect forces a collection (major on generational collectors when
 // major is true).
-func (r *Runtime) Collect(major bool) { r.col.Collect(major) }
+func (r *Runtime) Collect(major bool) { r.rt.Col.Collect(major) }
 
 // Stats returns collector statistics.
-func (r *Runtime) Stats() *GCStats { return r.col.Stats() }
+func (r *Runtime) Stats() *GCStats { return r.rt.Col.Stats() }
 
 // CollectorName returns the active collector configuration's name.
-func (r *Runtime) CollectorName() string { return r.col.Name() }
+func (r *Runtime) CollectorName() string { return r.rt.Col.Name() }
 
 // ClientSeconds returns mutator time in simulated seconds.
 func (r *Runtime) ClientSeconds() float64 {
-	return r.meter.Get(costmodel.Client).Seconds()
+	return r.rt.Meter.Get(costmodel.Client).Seconds()
 }
 
 // GCSeconds returns collector time in simulated seconds.
-func (r *Runtime) GCSeconds() float64 { return r.meter.GC().Seconds() }
+func (r *Runtime) GCSeconds() float64 { return r.rt.Meter.GC().Seconds() }
 
 // GCStackSeconds returns the stack-root-processing share of GC time.
 func (r *Runtime) GCStackSeconds() float64 {
-	return r.meter.Get(costmodel.GCStack).Seconds()
+	return r.rt.Meter.Get(costmodel.GCStack).Seconds()
 }
 
 // GCCopySeconds returns the heap scan/copy share of GC time.
 func (r *Runtime) GCCopySeconds() float64 {
-	return r.meter.Get(costmodel.GCCopy).Seconds()
+	return r.rt.Meter.Get(costmodel.GCCopy).Seconds()
 }
 
 // Profiler returns the heap profiler, or nil when profiling is off.
 // Call Finalize on it after the program completes.
-func (r *Runtime) Profiler() *Profiler { return r.profiler }
+func (r *Runtime) Profiler() *Profiler { return r.rt.Profiler }
 
 // PolicyFromProfile derives the paper's pretenuring policy from a
 // finalized profile: every site whose old% is at least cutoffPct (the
@@ -354,11 +313,13 @@ func (r *Runtime) RunBenchmark(name string, scale Scale) (uint64, error) {
 		return 0, err
 	}
 	res := w.Run(r.mutator, scale)
-	if r.profiler != nil {
+	if r.rt.Profiler != nil {
 		// One final collection so objects allocated near the end get a
 		// survival observation before end-of-run accounting.
-		r.col.Collect(false)
-		r.profiler.Finalize()
+		r.rt.Col.Collect(false)
+	}
+	if err := r.rt.Finish(); err != nil {
+		return 0, err
 	}
 	return res.Check, nil
 }

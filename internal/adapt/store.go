@@ -1,12 +1,10 @@
 package adapt
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"tilgc/internal/jsonl"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/prof"
@@ -100,101 +98,55 @@ type storeSite struct {
 
 // WriteJSONL writes the store as schema-versioned JSONL.
 func (s *Store) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)}); err != nil {
-		return err
-	}
+	enc := jsonl.NewWriter(w)
+	enc.Encode(storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)})
 	for i, p := range s.Profiles {
-		if err := enc.Encode(storeProfile{T: "profile", Profile: i,
-			Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)}); err != nil {
-			return err
-		}
+		enc.Encode(storeProfile{T: "profile", Profile: i,
+			Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)})
 		for _, seed := range p.Sites {
-			if err := enc.Encode(storeSite{T: "site", Profile: i,
+			enc.Encode(storeSite{T: "site", Profile: i,
 				Site: uint16(seed.Site), Name: seed.Name,
 				SurvWords: seed.SurvWords, DeadWords: seed.DeadWords,
 				AgeBytes: seed.AgeBytes, AgeSamples: seed.AgeSamples,
 				PretPlaced: seed.PretPlaced, PretDied: seed.PretDied,
-				Pretenured: seed.Pretenured}); err != nil {
-				return err
-			}
+				Pretenured: seed.Pretenured})
 		}
 	}
-	return bw.Flush()
+	return enc.Flush()
 }
 
 // ReadJSONL parses a profile store, rejecting unknown record types,
 // unknown fields, out-of-order profile records, and — before anything
 // else is decoded — schema versions this build does not understand.
 func ReadJSONL(r io.Reader) (*Store, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	var s *Store
 	var cur *RunProfile
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
+	format := jsonl.Format{Prefix: "adapt: store line", Empty: "adapt: empty store (no header record)",
+		Header: "header", Schema: StoreSchemaVersion, Group: "profile", Key: "profile"}
+	header := func(l jsonl.Line) (int, error) {
+		var h storeHeader
+		if err := l.Decode(&h); err != nil {
+			return 0, err
+		}
+		s = &Store{}
+		return h.Schema, nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T       string `json:"t"`
-			Profile int    `json:"profile"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-		}
-		if probe.T == "header" {
-			if s != nil {
-				return nil, fmt.Errorf("adapt: store line %d: duplicate header", lineNo)
-			}
-			var h storeHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-			}
-			if h.Schema != StoreSchemaVersion {
-				return nil, fmt.Errorf("adapt: store line %d: schema %d, this build reads schema %d",
-					lineNo, h.Schema, StoreSchemaVersion)
-			}
-			s = &Store{}
-			continue
-		}
-		if s == nil {
-			return nil, fmt.Errorf("adapt: store line %d: %q record before header", lineNo, probe.T)
-		}
-		switch probe.T {
+	err := jsonl.Read(r, format, header, func(l jsonl.Line) error {
+		switch l.Type {
 		case "profile":
 			var rp storeProfile
-			if err := strict(line, &rp); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-			}
-			if rp.Profile != len(s.Profiles) {
-				return nil, fmt.Errorf("adapt: store line %d: profile %d out of order (expected %d)",
-					lineNo, rp.Profile, len(s.Profiles))
+			if err := l.Decode(&rp); err != nil {
+				return err
 			}
 			cur = &RunProfile{Label: rp.Label, Workload: rp.Workload}
 			s.Profiles = append(s.Profiles, cur)
 		case "site":
-			if cur == nil {
-				return nil, fmt.Errorf("adapt: store line %d: site record before any profile record", lineNo)
-			}
-			if probe.Profile != len(s.Profiles)-1 {
-				return nil, fmt.Errorf("adapt: store line %d: site record for profile %d inside profile %d",
-					lineNo, probe.Profile, len(s.Profiles)-1)
-			}
 			var rs storeSite
-			if err := strict(line, &rs); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
+			if err := l.Decode(&rs); err != nil {
+				return err
 			}
 			if n := len(cur.Sites); n > 0 && cur.Sites[n-1].Site >= obj.SiteID(rs.Site) {
-				return nil, fmt.Errorf("adapt: store line %d: site %d out of order", lineNo, rs.Site)
+				return fmt.Errorf("site %d out of order", rs.Site)
 			}
 			cur.Sites = append(cur.Sites, SiteSeed{
 				Site: obj.SiteID(rs.Site), Name: rs.Name,
@@ -204,14 +156,12 @@ func ReadJSONL(r io.Reader) (*Store, error) {
 				Pretenured: rs.Pretenured,
 			})
 		default:
-			return nil, fmt.Errorf("adapt: store line %d: unknown record type %q", lineNo, probe.T)
+			return fmt.Errorf("unknown record type %q", l.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if s == nil {
-		return nil, fmt.Errorf("adapt: empty store (no header record)")
 	}
 	return s, nil
 }

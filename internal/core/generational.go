@@ -108,17 +108,15 @@ func (c *GenConfig) setDefaults() {
 // budget-derived threshold. Old-to-young pointers created by mutation are
 // tracked by a sequential store buffer (or optionally a card table).
 type Generational struct {
-	cfg   GenConfig
-	heap  *mem.Heap
-	stack *rt.Stack
-	meter *costmodel.Meter
-	prof  Profiler
-	tr    *trace.Recorder
+	// collectorBase's thread set, when attached, also routes pointer
+	// stores through the current thread's barrier state, and every
+	// thread's barrier state — dead threads' included — is drained at
+	// each collection.
+	collectorBase
+	cfg GenConfig
 
-	scanner *StackScanner
-	los     *LOS
-	ssb     *rt.SSB
-	cards   *rt.CardTable
+	ssb   *rt.SSB
+	cards *rt.CardTable
 
 	nursery *mem.Space
 	idA     mem.SpaceID
@@ -174,21 +172,6 @@ type Generational struct {
 	ev      evacuator
 	cardBuf []uint64
 	cardFAs []mem.Addr
-
-	// tally shards parallel-phase cycles over simulated workers (nil for
-	// W <= 1; see costmodel.WorkerTally).
-	tally *costmodel.WorkerTally
-
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source (each with its own scanner and
-	// markers), pointer stores route through the current thread's barrier
-	// state, and every thread's barrier state — dead threads' included —
-	// is drained at each collection. Nil is the single-thread collector,
-	// byte-identical to pre-thread builds.
-	threads   *rt.ThreadSet
-	tscanners []*StackScanner // per-thread scanners, indexed by thread id
-
-	stats GCStats
 }
 
 // NewGenerational creates a generational collector over its own heap.
@@ -196,11 +179,14 @@ type Generational struct {
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
 func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg GenConfig) *Generational {
 	cfg.setDefaults()
-	heap := mem.NewHeap()
-	c := &Generational{cfg: cfg, heap: heap, stack: stack, meter: meter, prof: prof, tr: cfg.Trace}
-	c.scanner = NewStackScanner(stack, meter, &c.stats, cfg.MarkerN)
-	c.scanner.SetMarkerPolicy(cfg.MarkerPolicy)
-	c.los = NewLOS(heap, meter, &c.stats)
+	c := &Generational{cfg: cfg}
+	c.markerN, c.markerPolicy = cfg.MarkerN, cfg.MarkerPolicy
+	// Without immediate promotion, frames cached by the stack scanners can
+	// hold aging-space pointers, so minor scans must revisit cached roots
+	// rather than skip frames.
+	c.revisitOnMinor = cfg.AgingMinors > 0
+	c.initBase(stack, meter, prof, cfg.Trace, cfg.BudgetWords, cfg.Workers)
+	heap := c.heap
 	if cfg.UseCardTable {
 		c.cards = rt.NewCardTable(meter, cfg.CardShift)
 	} else {
@@ -209,10 +195,6 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	c.pretenureOn = cfg.Pretenure.Len() > 0
 	if cfg.Advisor != nil {
 		c.advPolicy = NewPretenurePolicy(nil)
-	}
-	if cfg.Workers > 1 {
-		c.tally = costmodel.NewWorkerTally(meter, cfg.Workers)
-		c.scanner.SetTally(c.tally)
 	}
 	c.nursery = heap.AddSpace(cfg.NurseryWords)
 	c.tenCap = c.initialTenCap()
@@ -237,10 +219,6 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 		agb := heap.AddSpace(0)
 		c.agA, c.agB = ag.ID(), agb.ID()
 		c.aging = ag
-		// Without immediate promotion, frames cached by the stack
-		// scanner can hold aging-space pointers, so minor scans must
-		// revisit cached roots rather than skip frames.
-		c.scanner.SetRevisitOnMinor(true)
 	}
 	return c
 }
@@ -251,13 +229,7 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 // scanning covers every live thread's stack. Must be called before the
 // first collection; thread 0 must wrap the collector's primary stack.
 func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
-	if c.stats.NumGC > 0 {
-		panic("core: AttachThreads after a collection")
-	}
-	if ts.Thread(0).Stack() != c.stack {
-		panic("core: thread 0 does not own the collector's stack")
-	}
-	c.threads = ts
+	c.attachThreads(ts)
 	equip := func(t *rt.Thread) {
 		if c.cards != nil {
 			t.SetStage(rt.NewCardStage(c.cards))
@@ -271,62 +243,6 @@ func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
 		equip(t)
 	}
 	ts.OnSpawn(equip)
-}
-
-// threadScanner returns (creating on first use) the stack scanner for
-// one thread. Thread 0 reuses the primary scanner so its marker cache is
-// continuous with the pre-attach state.
-func (c *Generational) threadScanner(t *rt.Thread) *StackScanner {
-	id := t.ID()
-	for len(c.tscanners) <= id {
-		c.tscanners = append(c.tscanners, nil)
-	}
-	if c.tscanners[id] == nil {
-		if t.Stack() == c.stack {
-			c.tscanners[id] = c.scanner
-		} else {
-			sc := NewStackScanner(t.Stack(), c.meter, &c.stats, c.cfg.MarkerN)
-			sc.SetMarkerPolicy(c.cfg.MarkerPolicy)
-			sc.SetTally(c.tally)
-			if c.cfg.AgingMinors > 0 {
-				sc.SetRevisitOnMinor(true)
-			}
-			c.tscanners[id] = sc
-		}
-	}
-	return c.tscanners[id]
-}
-
-// noteCollection runs the per-collection scanner bookkeeping over every
-// live thread (depth statistics accumulate across threads).
-func (c *Generational) noteCollection() {
-	if c.threads == nil {
-		c.scanner.NoteCollection()
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		c.threadScanner(t).NoteCollection()
-	}
-}
-
-// scanRoots scans every live thread's stack in thread-id order (just the
-// primary stack when no thread set is attached). Dead threads' stacks
-// are skipped: a joined thread's frames no longer keep anything alive.
-func (c *Generational) scanRoots(ev *evacuator, minor bool) {
-	if c.threads == nil {
-		c.scanner.Scan(minor, func(loc RootLoc) { c.forwardRootOn(ev, c.stack, loc) })
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		st := t.Stack()
-		c.threadScanner(t).Scan(minor, func(loc RootLoc) { c.forwardRootOn(ev, st, loc) })
-	}
 }
 
 // isYoung reports whether space id is collected at every minor GC (the
@@ -401,33 +317,6 @@ func (c *Generational) endQ() {
 	}
 }
 
-// chargeOverhead charges the fixed per-collection overhead: serially for
-// a single worker, split across workers otherwise — entering a parallel
-// collection forks the space preparation and bookkeeping across the
-// worker team, so the fixed cost genuinely shrinks on the wall clock
-// while the charged total is preserved exactly.
-func (c *Generational) chargeOverhead() {
-	if c.tally == nil {
-		c.meter.Charge(costmodel.GCCopy, costmodel.GCOverhead)
-		return
-	}
-	c.tally.ChargeSplit(costmodel.GCCopy, costmodel.GCOverhead)
-}
-
-// endParallelPhase closes a phase whose work is distributed over the
-// simulated workers: the tally's overlap is credited back to the meter
-// first (shrinking the phase's wall-clock delta to the critical path),
-// then the phase-end event records the per-worker tallies. Serial
-// collectors (nil tally) emit a plain phase end.
-func (c *Generational) endParallelPhase(p trace.Phase) {
-	if c.tally == nil {
-		c.tr.EndPhase(p)
-		return
-	}
-	workers := c.tally.ClosePhase()
-	c.tr.EndPhaseWorkers(p, workers)
-}
-
 // Heap implements Collector.
 func (c *Generational) Heap() *mem.Heap { return c.heap }
 
@@ -463,7 +352,7 @@ func (c *Generational) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask ui
 
 	// Large arrays bypass the nursery into the mark-sweep space (§2.1).
 	if k != obj.Record && length >= c.cfg.LargeObjectWords {
-		return c.allocLarge(k, length, site, mask, size)
+		return c.allocLarge(c.Collect, k, length, site, mask, size)
 	}
 
 	// Profile-selected sites allocate directly into the old generation.
@@ -483,20 +372,6 @@ func (c *Generational) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask ui
 	if !ok {
 		a = c.allocNurserySlow(k, length, site, mask, size)
 	}
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
-	return a
-}
-
-// allocLarge is the LOS allocation path, collecting first when the
-// large-object share of the budget is exhausted.
-func (c *Generational) allocLarge(k obj.Kind, length uint64, site obj.SiteID, mask uint64, size uint64) mem.Addr {
-	if c.los.UsedWords()+size > c.losLimit() {
-		c.Collect(true)
-	}
-	a := c.los.Alloc(k, length, site, mask)
 	c.tr.AllocSite(site, size, false)
 	if c.prof != nil {
 		c.prof.OnAlloc(a, site, k, size, false)
@@ -575,24 +450,6 @@ func (c *Generational) allocPretenured(k obj.Kind, length uint64, site obj.SiteI
 		c.prof.OnAlloc(a, site, k, size, true)
 	}
 	return a
-}
-
-func (c *Generational) chargeAlloc(k obj.Kind, size uint64) {
-	c.meter.Charge(costmodel.Client, costmodel.AllocObject)
-	c.meter.ChargeN(costmodel.Client, costmodel.AllocWord, size)
-	c.stats.BytesAllocated += size * mem.WordSize
-	c.stats.ObjectsAllocated++
-	if k == obj.Record {
-		c.stats.RecordBytes += size * mem.WordSize
-	} else {
-		c.stats.ArrayBytes += size * mem.WordSize
-	}
-}
-
-// losLimit is the large-object share of the budget: up to half the total
-// (tenured sizing adapts to the live LOS share after each major).
-func (c *Generational) losLimit() uint64 {
-	return c.cfg.BudgetWords / 2
 }
 
 // LoadField implements Collector.
@@ -739,7 +596,7 @@ func (c *Generational) minorGC() {
 	// entry state §5's markers already cache, so frames scan
 	// independently once it is known.
 	c.tr.BeginPhase(trace.PhaseRoots)
-	c.scanRoots(ev, true)
+	c.scanRoots(true, func(st *rt.Stack, loc RootLoc) { c.forwardRootOn(ev, st, loc) })
 	c.endParallelPhase(trace.PhaseRoots)
 	c.tr.BeginPhase(trace.PhaseRemSet)
 	for _, fa := range oldSticky {
@@ -1115,7 +972,7 @@ func (c *Generational) majorCopy() {
 	ev.oldFromID = fromID
 
 	c.tr.BeginPhase(trace.PhaseRoots)
-	c.scanRoots(ev, false)
+	c.scanRoots(false, func(st *rt.Stack, loc RootLoc) { c.forwardRootOn(ev, st, loc) })
 	c.endParallelPhase(trace.PhaseRoots)
 	c.tr.BeginPhase(trace.PhaseCopy)
 	ev.drain()
@@ -1203,7 +1060,7 @@ func (c *Generational) majorMarkSweep() {
 	ev := c.beginNonmovingMajor()
 
 	c.tr.BeginPhase(trace.PhaseRoots)
-	c.scanRoots(ev, false)
+	c.scanRoots(false, func(st *rt.Stack, loc RootLoc) { c.forwardRootOn(ev, st, loc) })
 	c.endParallelPhase(trace.PhaseRoots)
 	c.tr.BeginPhase(trace.PhaseMark)
 	ev.drain()
@@ -1227,7 +1084,7 @@ func (c *Generational) majorMarkCompact() {
 	c.compactCapture = true
 	c.rootFix = c.rootFix[:0]
 	c.tr.BeginPhase(trace.PhaseRoots)
-	c.scanRoots(ev, false)
+	c.scanRoots(false, func(st *rt.Stack, loc RootLoc) { c.forwardRootOn(ev, st, loc) })
 	c.endParallelPhase(trace.PhaseRoots)
 	c.compactCapture = false
 	c.tr.BeginPhase(trace.PhaseMark)
@@ -1301,39 +1158,11 @@ func (c *Generational) updateMaxLive() {
 	}
 }
 
-// recordPause accumulates pause statistics for one collection event and
-// refreshes the lifetime parallel-work counters from the tally.
-func (c *Generational) recordPause(start costmodel.Cycles) {
-	pause := uint64(c.meter.GC() - start)
-	c.stats.SumPauseCycles += pause
-	if pause > c.stats.MaxPauseCycles {
-		c.stats.MaxPauseCycles = pause
-	}
-	if c.tally != nil {
-		c.stats.ParallelQuanta = c.tally.Quanta()
-		c.stats.WorkSteals = c.tally.Steals()
-	}
-}
-
 // forwardRootOn forwards the pointer at a root location of one thread's
-// stack.
+// stack, capturing it for the mark-compact fixup when it is left holding
+// a tenured pointer.
 func (c *Generational) forwardRootOn(ev *evacuator, st *rt.Stack, loc RootLoc) {
-	c.stats.RootsFound++
-	if loc.IsReg {
-		v := st.Reg(loc.Index)
-		nv := ev.forward(v)
-		if nv != v {
-			st.SetReg(loc.Index, nv)
-		}
-		c.captureRoot(st, loc, nv)
-		return
-	}
-	v := st.RawSlot(loc.Index)
-	nv := ev.forward(v)
-	if nv != v {
-		st.SetRawSlot(loc.Index, nv)
-	}
-	c.captureRoot(st, loc, nv)
+	c.captureRoot(st, loc, c.forwardRoot(ev, st, loc))
 }
 
 // captureRoot records a root location left holding a tenured pointer

@@ -94,30 +94,18 @@ type Inspectable interface {
 
 // Inspect implements Inspectable.
 func (c *Generational) Inspect() Inspection {
-	in := Inspection{
-		Heap:  c.heap,
-		Stack: c.stack,
-		Meter: c.meter,
-		Stats: &c.stats,
-
-		YoungSpaces: []mem.SpaceID{c.nursery.ID()},
-		OldSpaces:   []mem.SpaceID{c.ten.ID()},
-		LOSSpaces:   c.los.SpaceIDs(),
-
-		Generational: true,
-		SSB:          c.ssb,
-		Cards:        c.cards,
-		Sticky:       slices.Clone(c.sticky),
-		FreshLOS:     slices.Clone(c.los.Fresh()),
-		Policy:       mergePolicies(c.cfg.Pretenure, c.advPolicy),
-		ScanElision:  c.cfg.ScanElision,
-
-		LargeObjectWords: c.cfg.LargeObjectWords,
-		MarkerN:          c.cfg.MarkerN,
-
-		Threads:   c.threads,
-		GCWorkers: c.cfg.Workers,
-	}
+	in := c.inspection()
+	in.YoungSpaces = []mem.SpaceID{c.nursery.ID()}
+	in.OldSpaces = []mem.SpaceID{c.ten.ID()}
+	in.Generational = true
+	in.SSB = c.ssb
+	in.Cards = c.cards
+	in.Sticky = slices.Clone(c.sticky)
+	in.Policy = mergePolicies(c.cfg.Pretenure, c.advPolicy)
+	in.ScanElision = c.cfg.ScanElision
+	in.LargeObjectWords = c.cfg.LargeObjectWords
+	in.MarkerN = c.cfg.MarkerN
+	in.GCWorkers = c.cfg.Workers
 	if c.aging != nil {
 		in.YoungSpaces = append(in.YoungSpaces, c.agA, c.agB)
 	}
@@ -141,21 +129,10 @@ func (c *Generational) Inspect() Inspection {
 // generation: its current allocation space is reported as "old" and the
 // generational invariants (remembered sets, pretenured regions) are vacuous.
 func (c *Semispace) Inspect() Inspection {
-	return Inspection{
-		Heap:  c.heap,
-		Stack: c.stack,
-		Meter: c.meter,
-		Stats: &c.stats,
-
-		OldSpaces: []mem.SpaceID{c.cur.ID()},
-		LOSSpaces: c.los.SpaceIDs(),
-
-		FreshLOS: slices.Clone(c.los.Fresh()),
-
-		LargeObjectWords: c.cfg.LargeObjectWords,
-		MarkerN:          c.cfg.MarkerN,
-
-		Threads:   c.threads,
-		GCWorkers: c.cfg.Workers,
-	}
+	in := c.inspection()
+	in.OldSpaces = []mem.SpaceID{c.cur.ID()}
+	in.LargeObjectWords = c.cfg.LargeObjectWords
+	in.MarkerN = c.cfg.MarkerN
+	in.GCWorkers = c.cfg.Workers
+	return in
 }

@@ -56,29 +56,13 @@ func (c *SemispaceConfig) setDefaults() {
 // Semispace is the Fenichel-Yochelson two-space copying collector using
 // Cheney's scan, with the paper's liveness-ratio resize policy (§2.1).
 type Semispace struct {
-	cfg   SemispaceConfig
-	heap  *mem.Heap
-	stack *rt.Stack
-	meter *costmodel.Meter
-	prof  Profiler
-	tr    *trace.Recorder
+	collectorBase
+	cfg SemispaceConfig
 
-	scanner *StackScanner
-	los     *LOS
-	idA     mem.SpaceID
-	idB     mem.SpaceID
-	cur     *mem.Space // allocation space
-	ev      evacuator  // pooled across collections (see evacuator.begin)
-	// tally shards parallel-phase cycles over simulated workers (nil for
-	// W <= 1; see costmodel.WorkerTally).
-	tally *costmodel.WorkerTally
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source with its own scanner. The
-	// semispace collector has no write barrier, so threads carry no
-	// barrier state here. Nil is the single-thread collector.
-	threads   *rt.ThreadSet
-	tscanners []*StackScanner // per-thread scanners, indexed by thread id
-	stats     GCStats
+	idA mem.SpaceID
+	idB mem.SpaceID
+	cur *mem.Space // allocation space
+	ev  evacuator  // pooled across collections (see evacuator.begin)
 }
 
 // NewSemispace creates a semispace collector over its own fresh heap.
@@ -86,22 +70,16 @@ type Semispace struct {
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
 func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg SemispaceConfig) *Semispace {
 	cfg.setDefaults()
-	heap := mem.NewHeap()
-	c := &Semispace{cfg: cfg, heap: heap, stack: stack, meter: meter, prof: prof, tr: cfg.Trace}
-	c.scanner = NewStackScanner(stack, meter, &c.stats, cfg.MarkerN)
-	c.los = NewLOS(heap, meter, &c.stats)
 	if cfg.InitialWords > cfg.BudgetWords/2 {
 		cfg.InitialWords = max(cfg.BudgetWords/2, 512)
-		c.cfg = cfg
 	}
-	a := heap.AddSpace(cfg.InitialWords)
-	b := heap.AddSpace(0)
+	c := &Semispace{cfg: cfg}
+	c.markerN = cfg.MarkerN
+	c.initBase(stack, meter, prof, cfg.Trace, cfg.BudgetWords, cfg.Workers)
+	a := c.heap.AddSpace(cfg.InitialWords)
+	b := c.heap.AddSpace(0)
 	c.idA, c.idB = a.ID(), b.ID()
 	c.cur = a
-	if cfg.Workers > 1 {
-		c.tally = costmodel.NewWorkerTally(meter, cfg.Workers)
-		c.scanner.SetTally(c.tally)
-	}
 	return c
 }
 
@@ -109,65 +87,7 @@ func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Se
 // every live thread's stack. Must be called before the first collection;
 // thread 0 must wrap the collector's primary stack. No barrier state is
 // attached — the semispace collector has no write barrier.
-func (c *Semispace) AttachThreads(ts *rt.ThreadSet) {
-	if c.stats.NumGC > 0 {
-		panic("core: AttachThreads after a collection")
-	}
-	if ts.Thread(0).Stack() != c.stack {
-		panic("core: thread 0 does not own the collector's stack")
-	}
-	c.threads = ts
-}
-
-// threadScanner returns (creating on first use) the stack scanner for one
-// thread; thread 0 reuses the primary scanner.
-func (c *Semispace) threadScanner(t *rt.Thread) *StackScanner {
-	id := t.ID()
-	for len(c.tscanners) <= id {
-		c.tscanners = append(c.tscanners, nil)
-	}
-	if c.tscanners[id] == nil {
-		if t.Stack() == c.stack {
-			c.tscanners[id] = c.scanner
-		} else {
-			sc := NewStackScanner(t.Stack(), c.meter, &c.stats, c.cfg.MarkerN)
-			sc.SetTally(c.tally)
-			c.tscanners[id] = sc
-		}
-	}
-	return c.tscanners[id]
-}
-
-// noteCollection runs the per-collection scanner bookkeeping over every
-// live thread.
-func (c *Semispace) noteCollection() {
-	if c.threads == nil {
-		c.scanner.NoteCollection()
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		c.threadScanner(t).NoteCollection()
-	}
-}
-
-// scanRoots scans every live thread's stack in thread-id order (just the
-// primary stack when no thread set is attached).
-func (c *Semispace) scanRoots(ev *evacuator) {
-	if c.threads == nil {
-		c.scanner.Scan(false, func(loc RootLoc) { c.forwardRootOn(ev, c.stack, loc) })
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		st := t.Stack()
-		c.threadScanner(t).Scan(false, func(loc RootLoc) { c.forwardRootOn(ev, st, loc) })
-	}
-}
+func (c *Semispace) AttachThreads(ts *rt.ThreadSet) { c.attachThreads(ts) }
 
 // Name implements Collector.
 func (c *Semispace) Name() string {
@@ -179,28 +99,6 @@ func (c *Semispace) Name() string {
 		n += fmt.Sprintf("+gcw%d", c.cfg.Workers)
 	}
 	return n
-}
-
-// chargeOverhead charges the fixed per-collection overhead, split across
-// the simulated workers when there is more than one (see
-// Generational.chargeOverhead).
-func (c *Semispace) chargeOverhead() {
-	if c.tally == nil {
-		c.meter.Charge(costmodel.GCCopy, costmodel.GCOverhead)
-		return
-	}
-	c.tally.ChargeSplit(costmodel.GCCopy, costmodel.GCOverhead)
-}
-
-// endParallelPhase closes a worker-distributed phase (see
-// Generational.endParallelPhase).
-func (c *Semispace) endParallelPhase(p trace.Phase) {
-	if c.tally == nil {
-		c.tr.EndPhase(p)
-		return
-	}
-	workers := c.tally.ClosePhase()
-	c.tr.EndPhaseWorkers(p, workers)
 }
 
 // Heap implements Collector.
@@ -217,26 +115,12 @@ func (c *Semispace) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask uint6
 	size := obj.SizeWords(k, length)
 	c.chargeAlloc(k, size)
 	if k != obj.Record && length >= c.cfg.LargeObjectWords {
-		return c.allocLarge(k, length, site, mask, size)
+		return c.allocLarge(c.Collect, k, length, site, mask, size)
 	}
 	a, ok := obj.Alloc(c.heap, c.cur, k, length, site, mask)
 	if !ok {
 		a = c.allocSlow(k, length, site, mask, size)
 	}
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
-	return a
-}
-
-// allocLarge is the LOS allocation path, collecting first when the
-// large-object share of the budget is exhausted.
-func (c *Semispace) allocLarge(k obj.Kind, length uint64, site obj.SiteID, mask uint64, size uint64) mem.Addr {
-	if c.los.UsedWords()+size > c.losLimit() {
-		c.Collect(true)
-	}
-	a := c.los.Alloc(k, length, site, mask)
 	c.tr.AllocSite(site, size, false)
 	if c.prof != nil {
 		c.prof.OnAlloc(a, site, k, size, false)
@@ -271,24 +155,6 @@ func semispaceGrowthFailure(sp *mem.Space, size uint64) mem.GrowthError {
 	return mem.GrowthError{Op: "semispace emergency growth failed", Space: sp.ID(), Used: sp.Used(), Requested: size}
 }
 
-func (c *Semispace) chargeAlloc(k obj.Kind, size uint64) {
-	c.meter.Charge(costmodel.Client, costmodel.AllocObject)
-	c.meter.ChargeN(costmodel.Client, costmodel.AllocWord, size)
-	c.stats.BytesAllocated += size * mem.WordSize
-	c.stats.ObjectsAllocated++
-	if k == obj.Record {
-		c.stats.RecordBytes += size * mem.WordSize
-	} else {
-		c.stats.ArrayBytes += size * mem.WordSize
-	}
-}
-
-// losLimit is the large-object share of the budget: up to half the total
-// (the semispace sizing adapts to the live LOS share after each sweep).
-func (c *Semispace) losLimit() uint64 {
-	return c.cfg.BudgetWords / 2
-}
-
 // LoadField implements Collector.
 func (c *Semispace) LoadField(a mem.Addr, i uint64) uint64 {
 	c.meter.Charge(costmodel.Client, costmodel.MutatorLoad)
@@ -319,15 +185,7 @@ func (c *Semispace) Collect(bool) {
 	statsBefore := c.stats
 	pauseStart := c.meter.GC()
 	defer func() {
-		pause := uint64(c.meter.GC() - pauseStart)
-		c.stats.SumPauseCycles += pause
-		if pause > c.stats.MaxPauseCycles {
-			c.stats.MaxPauseCycles = pause
-		}
-		if c.tally != nil {
-			c.stats.ParallelQuanta = c.tally.Quanta()
-			c.stats.WorkSteals = c.tally.Steals()
-		}
+		c.recordPause(pauseStart)
 		c.sampleHeap()
 		c.tr.EndGC(gcCounters(&statsBefore, &c.stats))
 	}()
@@ -357,7 +215,7 @@ func (c *Semispace) Collect(bool) {
 	// covers its decode, root visits, and the evacuations they trigger
 	// (the scanner brackets them — see StackScanner.SetTally).
 	c.tr.BeginPhase(trace.PhaseRoots)
-	c.scanRoots(ev)
+	c.scanRoots(false, func(st *rt.Stack, loc RootLoc) { c.forwardRoot(ev, st, loc) })
 	c.endParallelPhase(trace.PhaseRoots)
 	c.tr.BeginPhase(trace.PhaseCopy)
 	ev.drain()
@@ -405,21 +263,4 @@ func (c *Semispace) semispaceShare() uint64 {
 		return 512
 	}
 	return (c.cfg.BudgetWords - losWords) / 2
-}
-
-// forwardRootOn forwards the pointer stored at a root location of one
-// thread's stack.
-func (c *Semispace) forwardRootOn(ev *evacuator, st *rt.Stack, loc RootLoc) {
-	c.stats.RootsFound++
-	if loc.IsReg {
-		v := st.Reg(loc.Index)
-		if nv := ev.forward(v); nv != v {
-			st.SetReg(loc.Index, nv)
-		}
-		return
-	}
-	v := st.RawSlot(loc.Index)
-	if nv := ev.forward(v); nv != v {
-		st.SetRawSlot(loc.Index, nv)
-	}
 }

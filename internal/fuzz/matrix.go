@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"tilgc/internal/adapt"
 	"tilgc/internal/core"
+	"tilgc/internal/harness"
 	"tilgc/internal/obj"
 )
 
@@ -46,7 +48,7 @@ type Config struct {
 	// Old selects the old-generation collector (copy, marksweep, or
 	// markcompact). The three produce different GC-side costs and heap
 	// layouts but identical client-visible results, so the divergence
-	// oracle holds across them. Ignored for semispace entries.
+	// oracle holds across them. Semispace entries must leave it OldCopy.
 	Old core.OldCollector
 
 	// wrap, when non-nil, decorates the freshly-built collector before
@@ -84,6 +86,39 @@ func Matrix() []Config {
 		{Name: "gen+markcompact+pretenure", Old: core.OldMarkCompact, Pretenure: true},
 		{Name: "gen+markcompact+w2", Old: core.OldMarkCompact, Workers: 2},
 	}
+}
+
+// spec maps the matrix entry onto a runtime Spec for program p (untraced
+// and unsanitized; execute sets those per run).
+func (c Config) spec(p *Program) harness.Spec {
+	s := harness.Spec{
+		Semispace: c.Semispace,
+		Collector: core.GenConfig{
+			BudgetWords:      budgetFor(p),
+			LargeObjectWords: largeObjectWords,
+			MarkerN:          c.MarkerN,
+			AgingMinors:      c.AgingMinors,
+			UseCardTable:     c.Cards,
+			Workers:          c.Workers,
+			OldCollector:     c.Old,
+		},
+		SiteNames: siteNames,
+		Wrap:      c.wrap,
+	}
+	if c.Semispace {
+		s.InitialWords = nurseryWords * 4
+	} else {
+		s.Collector.NurseryWords = nurseryWords
+	}
+	if c.Pretenure {
+		s.Collector.Pretenure = pretenurePolicy()
+	}
+	if c.Adapt {
+		// Small mass thresholds so decisions actually flip inside a few
+		// hundred ops' worth of allocation.
+		s.Adapt = &adapt.Params{MinSampleWords: 64, MinOldWords: 64, CooldownEpochs: 2}
+	}
+	return s
 }
 
 // siteNames labels the fuzz allocation sites for profiler and trace

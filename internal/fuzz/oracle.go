@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
-	"tilgc/internal/adapt"
 	"tilgc/internal/core"
-	"tilgc/internal/costmodel"
-	"tilgc/internal/mem"
-	"tilgc/internal/obj"
-	"tilgc/internal/prof"
+	"tilgc/internal/harness"
 	"tilgc/internal/rt"
 	"tilgc/internal/sanitize"
 	"tilgc/internal/trace"
@@ -70,114 +66,42 @@ func execute(p *Program, cfg Config, traced, sanitized bool) (out runOutput) {
 		}
 	}()
 
-	table := rt.NewTraceTable()
-	meter := costmodel.NewMeter()
-	stack := rt.NewStack(table, meter)
-
-	// The profiler feeds the adaptive advisor, so adapt configs need it
-	// even untraced; it observes without charging the meter, so its
-	// presence never perturbs client-visible results.
-	var profiler *prof.Profiler
-	var profHook core.Profiler
-	if traced || cfg.Adapt {
-		profiler = prof.New(siteNames)
-		profHook = profiler
-	}
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.NewRecorder(meter)
-		rec.SetSiteNames(siteNames)
-		stack.SetTracer(rec)
-		profiler.SetDeathSink(func(site obj.SiteID, b uint64) {
-			rec.DeadSite(site, b/mem.WordSize)
-		})
-	}
-	var engine *adapt.Engine
-	if cfg.Adapt {
-		// Small mass thresholds so decisions actually flip inside a few
-		// hundred ops' worth of allocation.
-		engine = adapt.New(meter, rec, adapt.Params{
-			MinSampleWords: 64,
-			MinOldWords:    64,
-			CooldownEpochs: 2,
-		})
-		profiler.SetObserver(engine)
-	}
-
-	budget := budgetFor(p)
-	var col core.Collector
-	var attachThreads func(*rt.ThreadSet)
-	if cfg.Semispace {
-		s := core.NewSemispace(stack, meter, profHook, core.SemispaceConfig{
-			BudgetWords:      budget,
-			LargeObjectWords: largeObjectWords,
-			MarkerN:          cfg.MarkerN,
-			InitialWords:     nurseryWords * 4,
-			Workers:          cfg.Workers,
-			Trace:            rec,
-		})
-		col, attachThreads = s, s.AttachThreads
-	} else {
-		gcfg := core.GenConfig{
-			BudgetWords:      budget,
-			NurseryWords:     nurseryWords,
-			LargeObjectWords: largeObjectWords,
-			MarkerN:          cfg.MarkerN,
-			AgingMinors:      cfg.AgingMinors,
-			UseCardTable:     cfg.Cards,
-			Workers:          cfg.Workers,
-			OldCollector:     cfg.Old,
-			Trace:            rec,
-		}
-		if cfg.Pretenure {
-			gcfg.Pretenure = pretenurePolicy()
-		}
-		if engine != nil {
-			gcfg.Advisor = engine
-		}
-		g := core.NewGenerational(stack, meter, profHook, gcfg)
-		col, attachThreads = g, g.AttachThreads
-	}
-	// Programs that touch the thread machine get a ThreadSet, attached
-	// before any allocation so the collector routes barriers and root
-	// scans through it from the first collection; thread-free programs
-	// keep the exact single-thread code paths.
-	var threads *rt.ThreadSet
-	if p.HasThreadOps() {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-	}
-	if cfg.wrap != nil {
-		col = cfg.wrap(col)
-	}
+	spec := cfg.spec(p)
+	spec.Trace = traced
 	if sanitized {
-		col = sanitize.Wrap(col, sanitize.Options{
+		spec.Sanitize = &sanitize.Options{
 			OnViolation: func(vs []sanitize.Violation) {
 				for _, v := range vs {
 					out.sanViol = append(out.sanViol, v.String())
 				}
 			},
-		})
+		}
+	}
+	r, err := harness.Build(spec)
+	if err != nil {
+		out.panicked = err // an invalid matrix entry fails like a crash
+		return out
+	}
+	// Programs that touch the thread machine get a ThreadSet, attached
+	// before any allocation so the collector routes barriers and root
+	// scans through it from the first collection; thread-free programs
+	// keep the exact single-thread code paths.
+	if p.HasThreadOps() {
+		r.AttachThreads(rt.NewThreadSet(r.Stack, r.Meter))
 	}
 
-	in := newInterp(col, stack, table, meter, threads)
+	in := newInterp(r.Col, r.Stack, r.Table, r.Meter, r.Threads)
 	in.run(p)
 
-	if profiler != nil {
-		profiler.Finalize()
-	}
-	if engine != nil {
-		engine.Seal()
-	}
-	out.fp = fingerprint(col, rootStacks(stack, threads))
+	err = r.Finish()
+	out.fp = fingerprint(r.Col, rootStacks(r.Stack, r.Threads))
 	out.checksum = in.checksum
-	out.stats = *col.Stats()
-	if rec != nil {
-		rec.Finish()
-		if err := rec.VerifyReconciled(); err != nil {
-			out.traceErr = err
-			return out
-		}
+	out.stats = *r.Col.Stats()
+	if err != nil {
+		out.traceErr = err
+		return out
+	}
+	if rec := r.Rec; rec != nil {
 		f := trace.NewFile(rec.Data(cfg.Name))
 		var buf bytes.Buffer
 		if err := f.WriteJSONL(&buf); err != nil {

@@ -27,6 +27,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -36,7 +37,6 @@ import (
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/prof"
-	"tilgc/internal/rt"
 	"tilgc/internal/sanitize"
 	"tilgc/internal/trace"
 	"tilgc/internal/workload"
@@ -69,27 +69,30 @@ const (
 	KindGenAgingPretenure
 )
 
+// kinds names each configuration as the tables label it and lists what
+// it turns on.
+var kinds = [...]struct {
+	name                                    string
+	markers, pretenure, elide, cards, aging bool
+}{
+	KindSemispace:                {name: "semispace"},
+	KindGenerational:             {name: "generational"},
+	KindGenMarkers:               {name: "gen+markers", markers: true},
+	KindGenMarkersPretenure:      {name: "gen+markers+pretenure", markers: true, pretenure: true},
+	KindGenMarkersPretenureElide: {name: "gen+markers+pretenure+elide", markers: true, pretenure: true, elide: true},
+	KindGenCards:                 {name: "gen+cards", cards: true},
+	KindGenPretenure:             {name: "gen+pretenure", pretenure: true},
+	KindGenAging:                 {name: "gen+aging", aging: true},
+	KindGenAgingPretenure:        {name: "gen+aging+pretenure", aging: true, pretenure: true},
+}
+
+// valid reports whether k is one of the kinds above.
+func (k CollectorKind) valid() bool { return k >= 0 && int(k) < len(kinds) }
+
 // String names the configuration as the tables label it.
 func (k CollectorKind) String() string {
-	switch k {
-	case KindSemispace:
-		return "semispace"
-	case KindGenerational:
-		return "generational"
-	case KindGenMarkers:
-		return "gen+markers"
-	case KindGenMarkersPretenure:
-		return "gen+markers+pretenure"
-	case KindGenMarkersPretenureElide:
-		return "gen+markers+pretenure+elide"
-	case KindGenCards:
-		return "gen+cards"
-	case KindGenPretenure:
-		return "gen+pretenure"
-	case KindGenAging:
-		return "gen+aging"
-	case KindGenAgingPretenure:
-		return "gen+aging+pretenure"
+	if k.valid() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("CollectorKind(%d)", int(k))
 }
@@ -282,39 +285,42 @@ func calibrate(name string, scale workload.Scale, cutoffPct float64) (*calibrati
 	if err != nil {
 		return nil, err
 	}
+	// Each pass runs the workload on a generational collector with a
+	// small nursery (frequent live-set samples for a tight estimate), then
+	// a final major collection for the exact live floor.
+	runPass := func(budget uint64, profile bool) (*Runtime, error) {
+		r, err := Build(Spec{
+			Collector: core.GenConfig{BudgetWords: budget, NurseryWords: 4 * 1024},
+			Profile:   profile,
+			SiteNames: w.Sites(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		w.Run(r.Mutator(), scale)
+		r.Col.Collect(true)
+		return r, r.Finish()
+	}
 	// Pass 1: rough live estimate with a generous budget (major
 	// collections are rare, so the high-water mark may be loose). The
 	// profile for pretenuring comes from this pass.
-	runPass := func(budget uint64, profiler *prof.Profiler) *core.Generational {
-		table := rt.NewTraceTable()
-		meter := costmodel.NewMeter()
-		stack := rt.NewStack(table, meter)
-		var hook core.Profiler
-		if profiler != nil {
-			hook = profiler
-		}
-		// Small nursery: frequent live-set samples for a tight estimate.
-		col := core.NewGenerational(stack, meter, hook, core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: 4 * 1024,
-		})
-		m := workload.NewMutator(col, stack, table, meter)
-		w.Run(m, scale)
-		col.Collect(true) // final major: exact live floor
-		return col
+	rough, err := runPass(1<<24, true)
+	if err != nil {
+		return nil, err
 	}
-	profiler := prof.New(w.Sites())
-	rough := runPass(1<<24, profiler)
-	profiler.Finalize()
+	profiler := rough.Profiler
 	// Pass 2: a tight budget (a few multiples of the rough maximum)
 	// forces frequent major collections, sampling the true live-set peak
 	// closely. Max live only moves up, so the rough value is the floor.
-	tightBudget := 6 * rough.Stats().MaxLiveBytes / mem.WordSize
+	tightBudget := 6 * rough.Col.Stats().MaxLiveBytes / mem.WordSize
 	if tightBudget < 64*1024 {
 		tightBudget = 64 * 1024
 	}
-	tight := runPass(tightBudget, nil)
-	maxLive := max(rough.Stats().MaxLiveBytes, tight.Stats().MaxLiveBytes)
+	tight, err := runPass(tightBudget, false)
+	if err != nil {
+		return nil, err
+	}
+	maxLive := max(rough.Col.Stats().MaxLiveBytes, tight.Col.Stats().MaxLiveBytes)
 
 	policy := profiler.Policy(cutoffPct, 32)
 	// Attach the §7.2 manual-dataflow flags to the policy sites.
@@ -345,8 +351,88 @@ func ClearCalibrationCache() {
 	calCache = map[string]*calEntry{}
 }
 
+// validate applies the rules only a RunConfig can break; the collector
+// shape is checked by Spec.Validate when Run builds the runtime.
+func (cfg RunConfig) validate() error {
+	var errs []error
+	if !cfg.Kind.valid() {
+		errs = append(errs, fmt.Errorf("unknown collector kind %v", cfg.Kind))
+	}
+	if cfg.K < 0 {
+		errs = append(errs, fmt.Errorf("K %g is negative", cfg.K))
+	}
+	for _, sc := range []workload.Scale{cfg.Scale, cfg.TrainScale} {
+		if sc.Repeat < 0 || sc.Depth < 0 {
+			errs = append(errs, fmt.Errorf("scale %+v has a negative factor", sc))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// spec maps the run onto a runtime Spec, given the k·Min memory budget
+// and the offline pretenuring policy.
+func (cfg RunConfig) spec(w workload.Workload, budget uint64, policy *core.PretenurePolicy) Spec {
+	s := Spec{
+		Semispace: cfg.Kind == KindSemispace,
+		Collector: core.GenConfig{
+			BudgetWords:  budget,
+			MarkerN:      cfg.MarkerN,
+			Workers:      cfg.GCWorkers,
+			DeferMajor:   cfg.DeferMajor,
+			OldCollector: cfg.OldCollector,
+		},
+		Threads:   cfg.Threads,
+		Profile:   cfg.Profile,
+		SiteNames: w.Sites(),
+		Trace:     cfg.Trace,
+		TraceHeap: cfg.TraceHeap,
+	}
+	if cfg.Adapt {
+		cutoff := cfg.PretenureCutoff
+		if cutoff == 0 {
+			cutoff = DefaultPretenureCutoff
+		}
+		s.Adapt = &adapt.Params{
+			PromotePPM:      uint64(cutoff * 10_000), // old% cutoff → ppm
+			DisableDemotion: cfg.AdaptNoDemote,
+		}
+		s.AdaptWarm = cfg.AdaptWarm
+	}
+	if cfg.Sanitize {
+		s.Sanitize = &sanitize.Options{}
+	}
+	if s.Semispace {
+		return s
+	}
+	g := &s.Collector
+	g.NurseryWords = nurseryFor(budget)
+	if cfg.Profile && cfg.K == 0 {
+		// Unconstrained profiling runs (Figure 2) use a small nursery
+		// so object lifetimes are sampled frequently.
+		g.NurseryWords = 4 * 1024
+	}
+	k := kinds[cfg.Kind]
+	switch {
+	case !k.markers:
+		g.MarkerN = 0 // the other generational kinds scan the full stack
+	case g.MarkerN == 0:
+		g.MarkerN = 25 // the paper's n
+	}
+	if k.pretenure {
+		g.Pretenure = policy
+	}
+	g.ScanElision, g.UseCardTable = k.elide, k.cards
+	if k.aging {
+		g.AgingMinors = 3
+	}
+	return s
+}
+
 // Run executes one experiment.
 func Run(cfg RunConfig) (*RunResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
+	}
 	w, err := workload.Get(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -372,173 +458,32 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.K > 0 {
 		budget = uint64(cfg.K * 2 * float64(cal.maxLiveWords))
 	}
-	markerN := cfg.MarkerN
-	if markerN == 0 {
-		markerN = 25
+	r, err := Build(cfg.spec(w, budget, polCal.policy))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
 	}
-
-	table := rt.NewTraceTable()
-	meter := costmodel.NewMeter()
-	stack := rt.NewStack(table, meter)
-	var profiler *prof.Profiler
-	var profHook core.Profiler
-	if cfg.Profile || cfg.Trace || cfg.Adapt {
-		// Traced runs borrow the profiler's shadow tables for per-site
-		// death accounting; the profiler charges nothing to the meter, so
-		// attaching it does not perturb the simulated measurements.
-		// Adaptive runs need it too: its lifetime event stream is the
-		// advisor's stat feed.
-		profiler = prof.New(w.Sites())
-		profHook = profiler
+	res := w.Run(r.Mutator(), cfg.Scale)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
 	}
-	var rec *trace.Recorder
-	if cfg.Trace {
-		rec = trace.NewRecorder(meter)
-		rec.SetSiteNames(w.Sites())
-		if cfg.TraceHeap {
-			rec.EnableHeapSampling()
-		}
-		stack.SetTracer(rec)
-		profiler.SetDeathSink(func(site obj.SiteID, bytes uint64) {
-			rec.DeadSite(site, bytes/mem.WordSize)
-		})
+	out := &RunResult{
+		Config:   cfg,
+		Check:    res.Check,
+		Times:    r.Meter.Snapshot(),
+		Stats:    *r.Col.Stats(),
+		Updates:  r.PointerUpdates(),
+		MaxDepth: r.Stack.MaxDepth(),
+		Trace:    r.Rec,
+		Policy:   polCal.policy,
 	}
-	var engine *adapt.Engine
-	if cfg.Adapt {
-		if cfg.Kind == KindSemispace {
-			return nil, fmt.Errorf("harness: %s: the adaptive advisor requires a generational collector", cfg.Label())
-		}
-		cutoff := cfg.PretenureCutoff
-		if cutoff == 0 {
-			cutoff = DefaultPretenureCutoff
-		}
-		engine = adapt.New(meter, rec, adapt.Params{
-			PromotePPM:      uint64(cutoff * 10_000), // old% cutoff → ppm
-			DisableDemotion: cfg.AdaptNoDemote,
-		})
-		profiler.SetObserver(engine)
-		engine.WarmStart(cfg.AdaptWarm)
+	if cfg.Profile {
+		out.Profiler = r.Profiler // trace-only and adapt-only runs keep the profiler internal
 	}
-
-	var col core.Collector
-	var updates func() uint64
-	var attachThreads func(*rt.ThreadSet)
-	switch cfg.Kind {
-	case KindSemispace:
-		if cfg.OldCollector != core.OldCopy {
-			return nil, fmt.Errorf("harness: %s: OldCollector %s requires a generational collector", cfg.Label(), cfg.OldCollector)
-		}
-		s := core.NewSemispace(stack, meter, profHook, core.SemispaceConfig{
-			BudgetWords: budget,
-			Workers:     cfg.GCWorkers,
-			Trace:       rec,
-		})
-		col = s
-		attachThreads = s.AttachThreads
-		updates = func() uint64 { return 0 }
-	default:
-		gcfg := core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: nurseryFor(budget),
-			Workers:      cfg.GCWorkers,
-			DeferMajor:   cfg.DeferMajor,
-			OldCollector: cfg.OldCollector,
-			Trace:        rec,
-		}
-		if cfg.Profile && cfg.K == 0 {
-			// Unconstrained profiling runs (Figure 2) use a small nursery
-			// so object lifetimes are sampled frequently.
-			gcfg.NurseryWords = 4 * 1024
-		}
-		if engine != nil {
-			gcfg.Advisor = engine
-		}
-		switch cfg.Kind {
-		case KindGenerational:
-		case KindGenMarkers:
-			gcfg.MarkerN = markerN
-		case KindGenMarkersPretenure:
-			gcfg.MarkerN = markerN
-			gcfg.Pretenure = polCal.policy
-		case KindGenMarkersPretenureElide:
-			gcfg.MarkerN = markerN
-			gcfg.Pretenure = polCal.policy
-			gcfg.ScanElision = true
-		case KindGenCards:
-			gcfg.UseCardTable = true
-		case KindGenPretenure:
-			gcfg.Pretenure = polCal.policy
-		case KindGenAging:
-			gcfg.AgingMinors = 3
-		case KindGenAgingPretenure:
-			gcfg.AgingMinors = 3
-			gcfg.Pretenure = polCal.policy
-		default:
-			return nil, fmt.Errorf("harness: unknown collector kind %v", cfg.Kind)
-		}
-		g := core.NewGenerational(stack, meter, profHook, gcfg)
-		col = g
-		attachThreads = g.AttachThreads
-		updates = g.PointerUpdates
+	if r.Engine != nil {
+		out.Adapt = r.Engine.Snapshot()
+		out.AdaptProfile = r.Engine.StoreProfile(cfg.Label(), cfg.Workload, w.Sites())
 	}
-	// The thread set is created — and the collector told about it — only
-	// for T > 1, so single-thread runs execute the exact pre-thread code
-	// paths (byte-identical traces).
-	var threads *rt.ThreadSet
-	if cfg.Threads > 1 {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-		for i := 1; i < cfg.Threads; i++ {
-			threads.Spawn()
-		}
-	}
-	if cfg.Sanitize {
-		col = sanitize.Wrap(col, sanitize.Options{})
-	}
-
-	m := workload.NewMutator(col, stack, table, meter)
-	m.Threads = threads
-	// Traced runs record request spans: workloads that bracket work with
-	// Mutator.Request (the server family) feed the internal/slo latency
-	// report. Untraced runs leave Rec nil and Request degrades to a plain
-	// call, so the simulated times are identical either way.
-	m.Rec = rec
-	res := w.Run(m, cfg.Scale)
-	if profiler != nil {
-		profiler.Finalize()
-	}
-	var adaptSnap *adapt.Snapshot
-	var adaptProfile *adapt.RunProfile
-	if engine != nil {
-		// Seal after Finalize so the profiler's end-of-run deaths fold
-		// into the stored survival state without triggering decisions.
-		engine.Seal()
-		adaptSnap = engine.Snapshot()
-		adaptProfile = engine.StoreProfile(cfg.Label(), cfg.Workload, w.Sites())
-	}
-	if rec != nil {
-		rec.Finish()
-		if err := rec.VerifyReconciled(); err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
-		}
-	}
-	resultProf := profiler
-	if !cfg.Profile {
-		resultProf = nil // trace-only and adapt-only runs keep the profiler internal
-	}
-	return &RunResult{
-		Config:       cfg,
-		Check:        res.Check,
-		Times:        meter.Snapshot(),
-		Stats:        *col.Stats(),
-		Updates:      updates(),
-		MaxDepth:     stack.MaxDepth(),
-		Profiler:     resultProf,
-		Trace:        rec,
-		Policy:       polCal.policy,
-		Adapt:        adaptSnap,
-		AdaptProfile: adaptProfile,
-	}, nil
+	return out, nil
 }
 
 // nurseryFor sizes the nursery: the paper's 512KB cache-sized nursery,

@@ -21,6 +21,9 @@ var detPackages = []string{
 	// timestamp is a costmodel cycle count, so a wall-clock or scheduler
 	// read here would corrupt trace determinism silently.
 	"internal/trace",
+	// The JSONL framing shared by the trace, SLO and advisor-store
+	// readers: a parse must depend on the input bytes alone.
+	"internal/jsonl",
 	// The adaptive advisor's promotion/demotion decisions feed back into
 	// allocation placement, so any nondeterminism here changes heap layout,
 	// GC counts, and the cross-run profile store.

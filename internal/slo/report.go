@@ -2,12 +2,11 @@ package slo
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"tilgc/internal/costmodel"
+	"tilgc/internal/jsonl"
 )
 
 // JSONL report sink, mirroring the trace sink's contract: one record per
@@ -79,135 +78,84 @@ type recRequests struct {
 
 // WriteJSONL writes the report as schema-versioned JSONL.
 func (r *Report) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz,
-		Windows: r.Windows, Runs: len(r.Runs)}); err != nil {
-		return err
-	}
+	enc := jsonl.NewWriter(w)
+	enc.Encode(recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz,
+		Windows: r.Windows, Runs: len(r.Runs)})
 	for i, rr := range r.Runs {
-		if err := enc.Encode(recRun{T: "slo_run", Run: i, Label: rr.Label,
-			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors}); err != nil {
-			return err
-		}
+		enc.Encode(recRun{T: "slo_run", Run: i, Label: rr.Label,
+			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors})
 		p := rr.Pauses
-		if err := enc.Encode(recPauses{T: "slo_pauses", Run: i, Count: p.Count, Total: p.Total,
-			P50: p.P50, P90: p.P90, P99: p.P99, P999: p.P999, Max: p.Max}); err != nil {
-			return err
-		}
+		enc.Encode(recPauses{T: "slo_pauses", Run: i, Count: p.Count, Total: p.Total,
+			P50: p.P50, P90: p.P90, P99: p.P99, P999: p.P999, Max: p.Max})
 		for _, ws := range rr.Windows {
-			if err := enc.Encode(recWindow{T: "slo_window", Run: i, Window: ws.Window,
+			enc.Encode(recWindow{T: "slo_window", Run: i, Window: ws.Window,
 				MMUppm: ws.MMUppm, AMUppm: ws.AMUppm,
-				WorstStart: ws.WorstStart, WorstPause: ws.WorstPause}); err != nil {
-				return err
-			}
+				WorstStart: ws.WorstStart, WorstPause: ws.WorstPause})
 		}
 		if q := rr.Requests; q != nil {
-			if err := enc.Encode(recRequests{T: "slo_requests", Run: i, Count: q.Count,
+			enc.Encode(recRequests{T: "slo_requests", Run: i, Count: q.Count,
 				P50: q.P50, P90: q.P90, P99: q.P99, P999: q.P999, Max: q.Max,
-				GC: q.GC, GCHit: q.GCHit}); err != nil {
-				return err
-			}
+				GC: q.GC, GCHit: q.GCHit})
 		}
 	}
-	return bw.Flush()
+	return enc.Flush()
 }
 
 // ReadJSONL parses a JSONL report, rejecting unknown record types,
 // unknown fields, out-of-order run records, and unknown schema versions.
 func ReadJSONL(r io.Reader) (*Report, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	var rep *Report
 	var cur *RunReport
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
+	format := jsonl.Format{Prefix: "slo: line", Empty: "slo: empty input (no header record)",
+		Header: "slo_header", Schema: SchemaVersion, Group: "slo_run", Key: "run"}
+	header := func(l jsonl.Line) (int, error) {
+		var h recHeader
+		if err := l.Decode(&h); err != nil {
+			return 0, err
+		}
+		rep = &Report{Schema: h.Schema, ClockHz: h.ClockHz, Windows: h.Windows}
+		return h.Schema, nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T   string `json:"t"`
-			Run int    `json:"run"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-		}
-		if probe.T == "slo_header" {
-			if rep != nil {
-				return nil, fmt.Errorf("slo: line %d: duplicate header", lineNo)
-			}
-			var h recHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			if h.Schema != SchemaVersion {
-				return nil, fmt.Errorf("slo: line %d: schema %d, this build reads schema %d", lineNo, h.Schema, SchemaVersion)
-			}
-			rep = &Report{Schema: h.Schema, ClockHz: h.ClockHz, Windows: h.Windows}
-			continue
-		}
-		if rep == nil {
-			return nil, fmt.Errorf("slo: line %d: %q record before header", lineNo, probe.T)
-		}
-		if probe.T == "slo_run" {
+	err := jsonl.Read(r, format, header, func(l jsonl.Line) error {
+		switch l.Type {
+		case "slo_run":
 			var rr recRun
-			if err := strict(line, &rr); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			if rr.Run != len(rep.Runs) {
-				return nil, fmt.Errorf("slo: line %d: run %d out of order (expected %d)", lineNo, rr.Run, len(rep.Runs))
+			if err := l.Decode(&rr); err != nil {
+				return err
 			}
 			cur = &RunReport{Label: rr.Label, Total: rr.Total, GC: rr.GC,
 				Collections: rr.Collections, Majors: rr.Majors}
 			rep.Runs = append(rep.Runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("slo: line %d: %q record before any run record", lineNo, probe.T)
-		}
-		if probe.Run != len(rep.Runs)-1 {
-			return nil, fmt.Errorf("slo: line %d: %q record for run %d inside run %d", lineNo, probe.T, probe.Run, len(rep.Runs)-1)
-		}
-		switch probe.T {
 		case "slo_pauses":
 			var rp recPauses
-			if err := strict(line, &rp); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
+			if err := l.Decode(&rp); err != nil {
+				return err
 			}
 			cur.Pauses = PauseStats{Count: rp.Count, Total: rp.Total,
 				P50: rp.P50, P90: rp.P90, P99: rp.P99, P999: rp.P999, Max: rp.Max}
 		case "slo_window":
 			var rw recWindow
-			if err := strict(line, &rw); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
+			if err := l.Decode(&rw); err != nil {
+				return err
 			}
 			cur.Windows = append(cur.Windows, WindowStats{Window: rw.Window,
 				MMUppm: rw.MMUppm, AMUppm: rw.AMUppm,
 				WorstStart: rw.WorstStart, WorstPause: rw.WorstPause})
 		case "slo_requests":
 			var rq recRequests
-			if err := strict(line, &rq); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
+			if err := l.Decode(&rq); err != nil {
+				return err
 			}
 			cur.Requests = &RequestStats{Count: rq.Count,
 				P50: rq.P50, P90: rq.P90, P99: rq.P99, P999: rq.P999, Max: rq.Max,
 				GC: rq.GC, GCHit: rq.GCHit}
 		default:
-			return nil, fmt.Errorf("slo: line %d: unknown record type %q", lineNo, probe.T)
+			return fmt.Errorf("unknown record type %q", l.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if rep == nil {
-		return nil, fmt.Errorf("slo: empty input (no header record)")
 	}
 	return rep, nil
 }

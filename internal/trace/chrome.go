@@ -15,7 +15,8 @@ import (
 // duration ratio is exact, and the output stays byte-identical across
 // runs. Counter deltas ride on the gc_end E event's args.
 
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event record.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
@@ -25,22 +26,23 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeMeta emits a metadata ("M") record naming a process or thread.
-func chromeMeta(name string, pid, tid int, value string) chromeEvent {
-	return chromeEvent{
+// ChromeMeta returns a metadata ("M") record naming a process or thread.
+func ChromeMeta(name string, pid, tid int, value string) ChromeEvent {
+	return ChromeEvent{
 		Name: name, Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": value},
 	}
 }
 
-// WriteChrome writes the file as Chrome trace-event JSON.
-func (f *File) WriteChrome(w io.Writer) error {
+// WriteChromeEvents writes one Chrome trace-event JSON document to w:
+// body receives an emit function and calls it once per event, in order.
+func WriteChromeEvents(w io.Writer, body func(emit func(ChromeEvent) error) error) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
 		return err
 	}
 	first := true
-	emit := func(e chromeEvent) error {
+	emit := func(e ChromeEvent) error {
 		if !first {
 			if _, err := io.WriteString(bw, ",\n"); err != nil {
 				return err
@@ -54,72 +56,82 @@ func (f *File) WriteChrome(w io.Writer) error {
 		_, err = bw.Write(b)
 		return err
 	}
-	if err := emit(chromeMeta("process_name", 0, 0, "gcsim")); err != nil {
+	if err := body(emit); err != nil {
 		return err
-	}
-	for tid, d := range f.Runs {
-		label := d.Label
-		if label == "" {
-			label = fmt.Sprintf("run %d", tid)
-		}
-		if err := emit(chromeMeta("thread_name", 0, tid, label)); err != nil {
-			return err
-		}
-		openMajor := false
-		for _, e := range d.Events {
-			ce := chromeEvent{Pid: 0, Tid: tid, Ts: uint64(e.At())}
-			switch e.Kind {
-			case EvGCBegin:
-				openMajor = e.Major
-				ce.Ph = "B"
-				ce.Name = gcSpanName(e.Major, e.Seq)
-				ce.Args = map[string]any{"seq": e.Seq}
-			case EvGCEnd:
-				ce.Ph = "E"
-				ce.Name = gcSpanName(openMajor, e.Seq)
-				ce.Args = counterArgs(e.Counters)
-			case EvPhaseBegin:
-				ce.Ph = "B"
-				ce.Name = e.Phase.String()
-			case EvPhaseEnd:
-				ce.Ph = "E"
-				ce.Name = e.Phase.String()
-			}
-			if err := emit(ce); err != nil {
-				return err
-			}
-		}
-		// Footprint timeline: one counter ("C") track per space, two
-		// series each (live, committed), sampled at every gc_end. Perfetto
-		// renders these as stacked area charts under the run's thread.
-		for _, h := range d.Heap {
-			for _, sp := range h.Spaces {
-				if err := emit(chromeEvent{
-					Name: "heap." + sp.Name, Ph: "C", Pid: 0, Tid: tid,
-					Ts:   uint64(h.Break.Total()),
-					Args: map[string]any{"live": sp.Live, "committed": sp.Committed},
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		// Request spans as complete ("X") events: ts/dur carry the span,
-		// args carry the GC share so slow requests can be attributed to
-		// the pauses that landed inside them without cross-referencing.
-		for _, q := range d.Reqs {
-			if err := emit(chromeEvent{
-				Name: fmt.Sprintf("req %d", q.ID), Ph: "X", Pid: 0, Tid: tid,
-				Ts: uint64(q.Begin.Total()), Dur: uint64(q.Latency()),
-				Args: map[string]any{"gc_cycles": uint64(q.GCCycles())},
-			}); err != nil {
-				return err
-			}
-		}
 	}
 	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteChrome writes the file as Chrome trace-event JSON.
+func (f *File) WriteChrome(w io.Writer) error {
+	return WriteChromeEvents(w, func(emit func(ChromeEvent) error) error {
+		if err := emit(ChromeMeta("process_name", 0, 0, "gcsim")); err != nil {
+			return err
+		}
+		for tid, d := range f.Runs {
+			label := d.Label
+			if label == "" {
+				label = fmt.Sprintf("run %d", tid)
+			}
+			if err := emit(ChromeMeta("thread_name", 0, tid, label)); err != nil {
+				return err
+			}
+			openMajor := false
+			for _, e := range d.Events {
+				ce := ChromeEvent{Pid: 0, Tid: tid, Ts: uint64(e.At())}
+				switch e.Kind {
+				case EvGCBegin:
+					openMajor = e.Major
+					ce.Ph = "B"
+					ce.Name = gcSpanName(e.Major, e.Seq)
+					ce.Args = map[string]any{"seq": e.Seq}
+				case EvGCEnd:
+					ce.Ph = "E"
+					ce.Name = gcSpanName(openMajor, e.Seq)
+					ce.Args = counterArgs(e.Counters)
+				case EvPhaseBegin:
+					ce.Ph = "B"
+					ce.Name = e.Phase.String()
+				case EvPhaseEnd:
+					ce.Ph = "E"
+					ce.Name = e.Phase.String()
+				}
+				if err := emit(ce); err != nil {
+					return err
+				}
+			}
+			// Footprint timeline: one counter ("C") track per space, two
+			// series each (live, committed), sampled at every gc_end. Perfetto
+			// renders these as stacked area charts under the run's thread.
+			for _, h := range d.Heap {
+				for _, sp := range h.Spaces {
+					if err := emit(ChromeEvent{
+						Name: "heap." + sp.Name, Ph: "C", Pid: 0, Tid: tid,
+						Ts:   uint64(h.Break.Total()),
+						Args: map[string]any{"live": sp.Live, "committed": sp.Committed},
+					}); err != nil {
+						return err
+					}
+				}
+			}
+			// Request spans as complete ("X") events: ts/dur carry the span,
+			// args carry the GC share so slow requests can be attributed to
+			// the pauses that landed inside them without cross-referencing.
+			for _, q := range d.Reqs {
+				if err := emit(ChromeEvent{
+					Name: fmt.Sprintf("req %d", q.ID), Ph: "X", Pid: 0, Tid: tid,
+					Ts: uint64(q.Begin.Total()), Dur: uint64(q.Latency()),
+					Args: map[string]any{"gc_cycles": uint64(q.GCCycles())},
+				}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 func gcSpanName(major bool, seq uint64) string {

@@ -1,13 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"tilgc/internal/costmodel"
+	"tilgc/internal/jsonl"
 	"tilgc/internal/obj"
 )
 
@@ -196,15 +194,10 @@ func NewFile(runs ...*RunData) *File {
 
 // WriteJSONL writes the file as schema-versioned JSONL.
 func (f *File) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
-	if err := enc.Encode(recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)}); err != nil {
-		return err
-	}
+	enc := jsonl.NewWriter(w)
+	enc.Encode(recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)})
 	for i, d := range f.Runs {
-		if err := enc.Encode(recRun{T: "run", Run: i, Label: d.Label}); err != nil {
-			return err
-		}
+		enc.Encode(recRun{T: "run", Run: i, Label: d.Label})
 		for _, e := range d.Events {
 			rec := recEvent{
 				T:      eventRecName(e.Kind),
@@ -226,56 +219,44 @@ func (f *File) WriteJSONL(w io.Writer) error {
 				rec.Phase = e.Phase.String()
 				rec.Workers = e.Workers
 			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+			enc.Encode(rec)
 		}
 		end := recRunEnd{T: "run_end", Run: i,
 			Client: uint64(d.Final.Client), Stack: uint64(d.Final.GCStack),
 			Copy: uint64(d.Final.GCCopy), Adapt: uint64(d.Final.Adapt),
 			Overlap: uint64(d.Overlap)}
-		if err := enc.Encode(end); err != nil {
-			return err
-		}
+		enc.Encode(end)
 		for _, a := range d.Adapt {
-			if err := enc.Encode(recAdapt{T: "adapt", Run: i, Seq: a.Seq,
+			enc.Encode(recAdapt{T: "adapt", Run: i, Seq: a.Seq,
 				Site: uint16(a.Site), Verb: a.Verb,
 				SurvivalPPM: a.SurvivalPPM, GarbagePPM: a.GarbagePPM, SampleWords: a.SampleWords,
 				At:     uint64(a.Break.Total()),
 				Client: uint64(a.Break.Client), Stack: uint64(a.Break.GCStack),
-				Copy: uint64(a.Break.GCCopy), Adapt: uint64(a.Break.Adapt)}); err != nil {
-				return err
-			}
+				Copy: uint64(a.Break.GCCopy), Adapt: uint64(a.Break.Adapt)})
 		}
 		for _, h := range d.Heap {
 			spaces := make([]recHeapSpace, len(h.Spaces))
 			for j, sp := range h.Spaces {
 				spaces[j] = recHeapSpace{Name: sp.Name, Live: sp.Live, Committed: sp.Committed}
 			}
-			if err := enc.Encode(recHeap{T: "heap", Run: i, Seq: h.Seq,
+			enc.Encode(recHeap{T: "heap", Run: i, Seq: h.Seq,
 				At:     uint64(h.Break.Total()),
 				Client: uint64(h.Break.Client), Stack: uint64(h.Break.GCStack),
 				Copy: uint64(h.Break.GCCopy), Adapt: uint64(h.Break.Adapt),
-				Spaces: spaces}); err != nil {
-				return err
-			}
+				Spaces: spaces})
 		}
 		for _, q := range d.Reqs {
-			if err := enc.Encode(recReq{T: "req", Run: i, ID: q.ID,
+			enc.Encode(recReq{T: "req", Run: i, ID: q.ID,
 				BClient: uint64(q.Begin.Client), BStack: uint64(q.Begin.GCStack),
 				BCopy: uint64(q.Begin.GCCopy), BAdapt: uint64(q.Begin.Adapt),
 				EClient: uint64(q.End.Client), EStack: uint64(q.End.GCStack),
-				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)}); err != nil {
-				return err
-			}
+				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)})
 		}
 		for _, s := range d.Sites {
-			if err := enc.Encode(recSite{T: "site", Run: i, Site: uint16(s.Site), Name: s.Name,
+			enc.Encode(recSite{T: "site", Run: i, Site: uint16(s.Site), Name: s.Name,
 				AllocObjects: s.AllocObjects, AllocWords: s.AllocWords,
 				PretenuredObjects: s.PretenuredObjects, PretenuredWords: s.PretenuredWords,
-				CopiedWords: s.CopiedWords, TenuredWords: s.TenuredWords, DiedWords: s.DiedWords}); err != nil {
-				return err
-			}
+				CopiedWords: s.CopiedWords, TenuredWords: s.TenuredWords, DiedWords: s.DiedWords})
 		}
 		for _, m := range d.Metrics {
 			rec := recMetric{T: "metric", Run: i, Name: m.Name, Kind: m.Kind.String()}
@@ -284,12 +265,10 @@ func (f *File) WriteJSONL(w io.Writer) error {
 			} else {
 				rec.Value = m.Value
 			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+			enc.Encode(rec)
 		}
 	}
-	return bw.Flush()
+	return enc.Flush()
 }
 
 // ReadJSONL parses a JSONL trace, rejecting unknown record types, unknown
@@ -297,79 +276,41 @@ func (f *File) WriteJSONL(w io.Writer) error {
 // not understand. Structural soundness beyond record shape (span pairing,
 // monotonic timestamps, reconciliation) is checked by Validate.
 func ReadJSONL(r io.Reader) (*File, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	var f *File
 	var cur *RunData
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
+	format := jsonl.Format{Prefix: "trace: line", Empty: "trace: empty input (no header record)",
+		Header: "header", Schema: SchemaVersion, Group: "run", Key: "run"}
+	header := func(l jsonl.Line) (int, error) {
+		var h recHeader
+		if err := l.Decode(&h); err != nil {
+			return 0, err
+		}
+		f = &File{Schema: h.Schema, ClockHz: h.ClockHz}
+		return h.Schema, nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T   string `json:"t"`
-			Run int    `json:"run"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		if probe.T == "header" {
-			if f != nil {
-				return nil, fmt.Errorf("trace: line %d: duplicate header", lineNo)
-			}
-			var h recHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			if h.Schema != SchemaVersion {
-				return nil, fmt.Errorf("trace: line %d: schema %d, this build reads schema %d", lineNo, h.Schema, SchemaVersion)
-			}
-			f = &File{Schema: h.Schema, ClockHz: h.ClockHz}
-			continue
-		}
-		if f == nil {
-			return nil, fmt.Errorf("trace: line %d: %q record before header", lineNo, probe.T)
-		}
-		if probe.T == "run" {
+	err := jsonl.Read(r, format, header, func(l jsonl.Line) error {
+		switch l.Type {
+		case "run":
 			var rr recRun
-			if err := strict(line, &rr); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			if rr.Run != len(f.Runs) {
-				return nil, fmt.Errorf("trace: line %d: run %d out of order (expected %d)", lineNo, rr.Run, len(f.Runs))
+			if err := l.Decode(&rr); err != nil {
+				return err
 			}
 			cur = &RunData{Label: rr.Label}
 			f.Runs = append(f.Runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("trace: line %d: %q record before any run record", lineNo, probe.T)
-		}
-		if probe.Run != len(f.Runs)-1 {
-			return nil, fmt.Errorf("trace: line %d: %q record for run %d inside run %d", lineNo, probe.T, probe.Run, len(f.Runs)-1)
-		}
-		switch probe.T {
 		case "gc_begin", "gc_end", "phase_begin", "phase_end":
 			var re recEvent
-			if err := strict(line, &re); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&re); err != nil {
+				return err
 			}
-			ev, err := re.event(probe.T)
+			ev, err := re.event(l.Type)
 			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+				return err
 			}
 			cur.Events = append(cur.Events, ev)
 		case "run_end":
 			var re recRunEnd
-			if err := strict(line, &re); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&re); err != nil {
+				return err
 			}
 			cur.Final = costmodel.Breakdown{
 				Client:  costmodel.Cycles(re.Client),
@@ -380,8 +321,8 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			cur.Overlap = costmodel.Cycles(re.Overlap)
 		case "adapt":
 			var ra recAdapt
-			if err := strict(line, &ra); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&ra); err != nil {
+				return err
 			}
 			b := costmodel.Breakdown{
 				Client:  costmodel.Cycles(ra.Client),
@@ -390,12 +331,12 @@ func ReadJSONL(r io.Reader) (*File, error) {
 				Adapt:   costmodel.Cycles(ra.Adapt),
 			}
 			if costmodel.Cycles(ra.At) != b.Total() {
-				return nil, fmt.Errorf("trace: line %d: at %d != breakdown total %d", lineNo, ra.At, b.Total())
+				return fmt.Errorf("at %d != breakdown total %d", ra.At, b.Total())
 			}
 			switch ra.Verb {
 			case AdaptPromote, AdaptDemote, AdaptWarm:
 			default:
-				return nil, fmt.Errorf("trace: line %d: unknown adapt verb %q", lineNo, ra.Verb)
+				return fmt.Errorf("unknown adapt verb %q", ra.Verb)
 			}
 			cur.Adapt = append(cur.Adapt, AdaptDecision{
 				Seq: ra.Seq, Site: obj.SiteID(ra.Site), Verb: ra.Verb,
@@ -404,8 +345,8 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			})
 		case "heap":
 			var rh recHeap
-			if err := strict(line, &rh); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&rh); err != nil {
+				return err
 			}
 			b := costmodel.Breakdown{
 				Client:  costmodel.Cycles(rh.Client),
@@ -414,7 +355,7 @@ func ReadJSONL(r io.Reader) (*File, error) {
 				Adapt:   costmodel.Cycles(rh.Adapt),
 			}
 			if costmodel.Cycles(rh.At) != b.Total() {
-				return nil, fmt.Errorf("trace: line %d: at %d != breakdown total %d", lineNo, rh.At, b.Total())
+				return fmt.Errorf("at %d != breakdown total %d", rh.At, b.Total())
 			}
 			spaces := make([]SpaceOcc, len(rh.Spaces))
 			for j, sp := range rh.Spaces {
@@ -423,8 +364,8 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			cur.Heap = append(cur.Heap, HeapSample{Seq: rh.Seq, Break: b, Spaces: spaces})
 		case "req":
 			var rq recReq
-			if err := strict(line, &rq); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&rq); err != nil {
+				return err
 			}
 			cur.Reqs = append(cur.Reqs, RequestSpan{ID: rq.ID,
 				Begin: costmodel.Breakdown{
@@ -441,8 +382,8 @@ func ReadJSONL(r io.Reader) (*File, error) {
 				}})
 		case "site":
 			var rs recSite
-			if err := strict(line, &rs); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&rs); err != nil {
+				return err
 			}
 			cur.Sites = append(cur.Sites, SiteCounters{
 				Site: obj.SiteID(rs.Site), Name: rs.Name,
@@ -452,8 +393,8 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			})
 		case "metric":
 			var rm recMetric
-			if err := strict(line, &rm); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			if err := l.Decode(&rm); err != nil {
+				return err
 			}
 			m := Metric{Name: rm.Name, Value: rm.Value,
 				Count: rm.Count, Sum: rm.Sum, Max: rm.Max, Buckets: rm.Buckets}
@@ -465,18 +406,16 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			case "hist":
 				m.Kind = KindHistogram
 			default:
-				return nil, fmt.Errorf("trace: line %d: unknown metric kind %q", lineNo, rm.Kind)
+				return fmt.Errorf("unknown metric kind %q", rm.Kind)
 			}
 			cur.Metrics = append(cur.Metrics, m)
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record type %q", lineNo, probe.T)
+			return fmt.Errorf("unknown record type %q", l.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if f == nil {
-		return nil, fmt.Errorf("trace: empty input (no header record)")
 	}
 	return f, nil
 }
