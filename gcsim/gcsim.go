@@ -89,8 +89,8 @@ type Config struct {
 	// Threads runs the mutator over this many simulated threads: thread 0
 	// wraps the primary stack and the rest spawn with empty stacks. The
 	// scheduler is cooperative — programs switch with
-	// Mutator.SetThread — so 0 or 1 is the single-thread runtime,
-	// byte-identical to builds without thread support.
+	// Mutator.SetThread — and 0 or 1 is a runtime of one thread, where
+	// SetThread(0) is the only valid switch.
 	Threads int
 	// GCWorkers enables the deterministic parallel copying phases with
 	// this many simulated workers: heap images stay byte-identical at

@@ -252,3 +252,55 @@ func TestExperimentDispatchAllNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallBudgetOverrunsAreCounted pins the honest overrun count: with a
+// 4096-word budget Nqueen's live set (tens of thousands of words) cannot
+// fit the budget share of any collector, so each must report sizing a
+// space past it. The default 65536-word nursery alone exceeds this
+// budget, which once wrapped the generational tenured cap to unbounded.
+func TestSmallBudgetOverrunsAreCounted(t *testing.T) {
+	scale := Scale{Repeat: 0.01, Depth: 0.5}
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"generational", Config{BudgetWords: 4096}},
+		{"generational+marksweep", Config{BudgetWords: 4096, OldCollector: OldMarkSweep}},
+		{"semispace", Config{BudgetWords: 4096, Collector: Semispace}},
+	}
+	for _, c := range cfgs {
+		name, cfg := c.name, c.cfg
+		r := NewRuntime(cfg)
+		if _, err := r.RunBenchmark("Nqueen", scale); err != nil {
+			t.Fatal(err)
+		}
+		s := r.Stats()
+		if s.MaxLiveBytes/8 <= cfg.BudgetWords {
+			t.Fatalf("%s: max live %d words fits the budget; the pin is vacuous", name, s.MaxLiveBytes/8)
+		}
+		if s.EmergencyGrows == 0 {
+			t.Errorf("%s: max live %d words over a %d-word budget, but EmergencyGrows = 0",
+				name, s.MaxLiveBytes/8, cfg.BudgetWords)
+		}
+	}
+}
+
+// TestSingleThreadRuntimeHasThreadZero: a default runtime is a thread set
+// of one, so switching to thread 0 works and any other id is rejected by
+// the thread set rather than dereferencing a missing one.
+func TestSingleThreadRuntimeHasThreadZero(t *testing.T) {
+	m := NewRuntime(Config{}).Mutator()
+	m.SetThread(0)
+	if n := m.NumThreads(); n != 1 {
+		t.Fatalf("NumThreads = %d, want 1", n)
+	}
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "no thread 1 (have 1)") {
+			t.Fatalf("SetThread(1) panicked with %v, want rt's no-thread error", r)
+		}
+	}()
+	m.SetThread(1)
+	t.Fatal("SetThread(1) did not panic")
+}

@@ -28,9 +28,10 @@ type collectorBase struct {
 	// W <= 1; see costmodel.WorkerTally).
 	tally *costmodel.WorkerTally
 
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source with its own scanner. Nil is
-	// the single-thread collector, byte-identical to pre-thread builds.
+	// threads is the simulated mutator thread set: every live thread's
+	// stack is a root source with its own scanner. The constructors
+	// install a set of one around the primary stack; AttachThreads may
+	// replace it before the first collection.
 	threads   *rt.ThreadSet
 	tscanners []*StackScanner // per-thread scanners, indexed by thread id
 
@@ -57,6 +58,7 @@ func (b *collectorBase) initBase(stack *rt.Stack, meter *costmodel.Meter, prof P
 	}
 	b.scanner = b.newScanner(stack)
 	b.los = NewLOS(b.heap, meter, &b.stats)
+	b.threads = rt.NewThreadSet(stack, meter)
 }
 
 // newScanner creates a stack scanner configured like every other scanner
@@ -102,10 +104,6 @@ func (b *collectorBase) threadScanner(t *rt.Thread) *StackScanner {
 // noteCollection runs the per-collection scanner bookkeeping over every
 // live thread (depth statistics accumulate across threads).
 func (b *collectorBase) noteCollection() {
-	if b.threads == nil {
-		b.scanner.NoteCollection()
-		return
-	}
 	for _, t := range b.threads.Threads() {
 		if t.Dead() {
 			continue
@@ -114,15 +112,10 @@ func (b *collectorBase) noteCollection() {
 	}
 }
 
-// scanRoots scans every live thread's stack in thread-id order (just the
-// primary stack when no thread set is attached), calling visit for each
-// root location. Dead threads' stacks are skipped: a joined thread's
-// frames no longer keep anything alive.
+// scanRoots scans every live thread's stack in thread-id order, calling
+// visit for each root location. Dead threads' stacks are skipped: a
+// joined thread's frames no longer keep anything alive.
 func (b *collectorBase) scanRoots(minor bool, visit func(st *rt.Stack, loc RootLoc)) {
-	if b.threads == nil {
-		b.scanner.Scan(minor, func(loc RootLoc) { visit(b.stack, loc) })
-		return
-	}
 	for _, t := range b.threads.Threads() {
 		if t.Dead() {
 			continue
@@ -233,7 +226,6 @@ func (b *collectorBase) allocLarge(collect func(major bool), k obj.Kind, length 
 func (b *collectorBase) inspection() Inspection {
 	return Inspection{
 		Heap:      b.heap,
-		Stack:     b.stack,
 		Meter:     b.meter,
 		Stats:     &b.stats,
 		LOSSpaces: b.los.SpaceIDs(),

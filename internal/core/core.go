@@ -78,7 +78,7 @@ type GCStats struct {
 	MaxDepthAtGC uint64 // deepest stack seen at a collection
 	NewFrames    uint64 // frames pushed since the previous collection, summed
 
-	EmergencyGrows uint64 // budget overruns forced by a live set above Min
+	EmergencyGrows uint64 // times a space was sized past its budget share (live set above Min)
 
 	// Pause accounting (§9 motivates caching stack scans for incremental
 	// collectors precisely because the root scan is an atomic pause).

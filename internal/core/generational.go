@@ -108,15 +108,14 @@ func (c *GenConfig) setDefaults() {
 // budget-derived threshold. Old-to-young pointers created by mutation are
 // tracked by a sequential store buffer (or optionally a card table).
 type Generational struct {
-	// collectorBase's thread set, when attached, also routes pointer
-	// stores through the current thread's barrier state, and every
-	// thread's barrier state — dead threads' included — is drained at
-	// each collection.
+	// Under the SSB barrier, pointer stores go to the current thread's
+	// private buffer, and every thread's buffer — dead threads' included
+	// — is drained at each collection in thread-id order. Under the card
+	// barrier every thread dirties the one shared table.
 	collectorBase
 	cfg GenConfig
 
-	ssb   *rt.SSB
-	cards *rt.CardTable
+	cards *rt.CardTable // nil under the SSB barrier
 
 	nursery *mem.Space
 	idA     mem.SpaceID
@@ -189,9 +188,8 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	heap := c.heap
 	if cfg.UseCardTable {
 		c.cards = rt.NewCardTable(meter, cfg.CardShift)
-	} else {
-		c.ssb = rt.NewSSB(meter)
 	}
+	c.equipThreads()
 	c.pretenureOn = cfg.Pretenure.Len() > 0
 	if cfg.Advisor != nil {
 		c.advPolicy = NewPretenurePolicy(nil)
@@ -223,26 +221,33 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	return c
 }
 
-// AttachThreads connects the simulated thread set: each existing and
-// future thread is equipped with its own barrier state (a private SSB,
-// or a private dirty-card stage over the shared card table), and root
-// scanning covers every live thread's stack. Must be called before the
-// first collection; thread 0 must wrap the collector's primary stack.
+// AttachThreads replaces the collector's thread set of one with ts: each
+// existing and future thread of ts is equipped with its own barrier
+// state, and root scanning covers every live thread's stack. Must be
+// called before the first collection; thread 0 must wrap the
+// collector's primary stack.
 func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
+	// Stores already recorded by the replaced set's thread 0 stay pending.
+	pending := c.threads.Thread(0).SSB()
 	c.attachThreads(ts)
-	equip := func(t *rt.Thread) {
-		if c.cards != nil {
-			t.SetStage(rt.NewCardStage(c.cards))
-		} else if t.Stack() == c.stack {
-			t.SetSSB(c.ssb)
-		} else {
-			t.SetSSB(rt.NewSSB(c.meter))
-		}
+	c.equipThreads()
+	if pending != nil {
+		ts.Thread(0).SetSSB(pending)
 	}
-	for _, t := range ts.Threads() {
+}
+
+// equipThreads gives every existing and future thread of the collector's
+// set a private store buffer under the SSB barrier. Card-barrier threads
+// need nothing: their stores dirty the shared card table directly.
+func (c *Generational) equipThreads() {
+	if c.cards != nil {
+		return
+	}
+	equip := func(t *rt.Thread) { t.SetSSB(rt.NewSSB(c.meter)) }
+	for _, t := range c.threads.Threads() {
 		equip(t)
 	}
-	ts.OnSpawn(equip)
+	c.threads.OnSpawn(equip)
 }
 
 // isYoung reports whether space id is collected at every minor GC (the
@@ -324,14 +329,11 @@ func (c *Generational) Heap() *mem.Heap { return c.heap }
 func (c *Generational) Stats() *GCStats { return &c.stats }
 
 // PointerUpdates returns the lifetime count of barriered pointer stores
-// (across every thread: card stages update the shared table's count, SSB
-// counts are summed per thread).
+// across every thread (the shared card table's count, or the per-thread
+// SSB counts summed).
 func (c *Generational) PointerUpdates() uint64 {
 	if c.cards != nil {
 		return c.cards.TotalRecorded()
-	}
-	if c.threads == nil {
-		return c.ssb.TotalRecorded()
 	}
 	var n uint64
 	for _, t := range c.threads.Threads() {
@@ -407,6 +409,7 @@ func (c *Generational) ensureTenured(extra uint64) {
 	}
 	if newCap < c.ten.Used()+extra {
 		newCap = c.ten.Used() + extra // emergency: logical cap exceeded
+		c.stats.EmergencyGrows++
 	}
 	c.ten = c.heap.GrowSpace(c.ten.ID(), newCap)
 }
@@ -466,20 +469,12 @@ func (c *Generational) StoreField(a mem.Addr, i uint64, v uint64, isPtr bool) {
 	fa := obj.FieldAddr(c.heap, a, i)
 	c.heap.Store(fa, v)
 	if isPtr {
-		if c.threads != nil {
-			// Stores route through the running thread's private barrier
-			// state; the collector gathers every thread's state at the
-			// next collection.
-			t := c.threads.Current()
-			if c.cards != nil {
-				t.Stage().Record(fa)
-			} else {
-				t.SSB().Record(fa)
-			}
-		} else if c.cards != nil {
+		if c.cards != nil {
 			c.cards.Record(fa)
 		} else {
-			c.ssb.Record(fa)
+			// The running thread's private buffer; the collector drains
+			// every thread's buffer at the next collection.
+			c.threads.Current().SSB().Record(fa)
 		}
 	}
 }
@@ -668,7 +663,6 @@ func (c *Generational) processBarrier(ev *evacuator) {
 		// forwarding: promotions move the tenured frontier mid-drain, and
 		// interleaving the layout walk with copies would let a card
 		// spanning the frontier pick up newly promoted fields.
-		c.flushStages()
 		c.collectCardFieldAddrs()
 		for _, fa := range c.cardFAs {
 			c.beginQ()
@@ -689,10 +683,6 @@ func (c *Generational) processBarrier(ev *evacuator) {
 		}
 		c.endQ()
 	}
-	if c.threads == nil {
-		c.ssb.DrainTo(cb)
-		return
-	}
 	// Every thread's buffer drains in thread-id order, dead threads'
 	// included: their stores were real pointer updates.
 	for _, t := range c.threads.Threads() {
@@ -700,27 +690,11 @@ func (c *Generational) processBarrier(ev *evacuator) {
 	}
 }
 
-// flushStages merges every thread's staged dirty cards into the shared
-// card table (no-op without threads: stores dirtied the table directly).
-func (c *Generational) flushStages() {
-	if c.threads == nil {
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		t.Stage().Flush()
-	}
-}
-
 // dropBarrier discards all remembered-set state — every thread's — after
 // a major collection: no old-to-young pointers survive a full copy.
 func (c *Generational) dropBarrier() {
 	if c.cards != nil {
-		c.flushStages()
 		c.cards.Drain()
-		return
-	}
-	if c.threads == nil {
-		c.ssb.Drain()
 		return
 	}
 	for _, t := range c.threads.Threads() {
@@ -1004,17 +978,12 @@ func (c *Generational) majorCopy() {
 	// Tenured resize: target liveness 0.3 within the budget share.
 	newCap := uint64(float64(live) / c.cfg.TargetTenuredLiveness)
 	maxCap := c.initialTenCap()
-	if losWords := c.los.UsedWords(); 2*losWords < c.cfg.BudgetWords-c.cfg.NurseryWords {
-		maxCap = (c.cfg.BudgetWords - c.cfg.NurseryWords - losWords) / 2
+	if c.cfg.BudgetWords > c.cfg.NurseryWords {
+		if losWords := c.los.UsedWords(); 2*losWords < c.cfg.BudgetWords-c.cfg.NurseryWords {
+			maxCap = (c.cfg.BudgetWords - c.cfg.NurseryWords - losWords) / 2
+		}
 	}
-	if newCap > maxCap {
-		newCap = maxCap
-	}
-	minCap := live + c.cfg.NurseryWords/4 + 256
-	if newCap < minCap {
-		newCap = minCap // budget-starved: keep limping with minimum headroom
-	}
-	c.tenCap = newCap
+	c.tenCap = c.clampTenCap(newCap, maxCap, live)
 	// Physical capacity grows lazily toward the logical threshold; just
 	// leave room for the next nursery promotion.
 	need := live + c.cfg.NurseryWords + 1024
@@ -1132,18 +1101,26 @@ func (c *Generational) finishNonmovingMajor() {
 			maxCap = avail - c.los.UsedWords()
 		}
 	}
-	if newCap > maxCap {
-		newCap = maxCap
-	}
-	minCap := live + c.cfg.NurseryWords/4 + 256
-	if newCap < minCap {
-		newCap = minCap // budget-starved: keep limping with minimum headroom
-	}
-	c.tenCap = newCap
+	c.tenCap = c.clampTenCap(newCap, maxCap, live)
 	// The bitmap now coincides with the traced reachable set; any mutator
 	// allocation or store invalidates that reading (noteOldMutation).
 	c.old.marksFresh = true
 	c.updateMaxLive()
+}
+
+// clampTenCap bounds a major collection's tenured resize to the budget
+// share maxCap, but never below the live words plus minimum headroom: a
+// budget-starved collector keeps limping past its share, and each such
+// overrun is counted.
+func (c *Generational) clampTenCap(newCap, maxCap, live uint64) uint64 {
+	newCap = min(newCap, maxCap)
+	if minCap := live + c.cfg.NurseryWords/4 + 256; newCap < minCap {
+		if minCap > maxCap {
+			c.stats.EmergencyGrows++
+		}
+		newCap = minCap
+	}
+	return newCap
 }
 
 // updateMaxLive records the live-set high-water mark. It is only called

@@ -30,7 +30,6 @@ type OldFreeSpan struct {
 // holding one across a collection cannot corrupt the collector.
 type Inspection struct {
 	Heap  *mem.Heap
-	Stack *rt.Stack
 	Meter *costmodel.Meter
 	Stats *GCStats
 
@@ -44,8 +43,8 @@ type Inspection struct {
 
 	// Generational reports whether old-to-young invariants apply.
 	Generational bool
-	// Exactly one of SSB/Cards is non-nil for generational collectors.
-	SSB   *rt.SSB
+	// Cards is the shared card table of a card-barrier collector (nil
+	// under the SSB barrier, whose buffers belong to the threads).
 	Cards *rt.CardTable
 	// Sticky are old-space field addresses known to point into the aging
 	// space (empty under immediate promotion).
@@ -75,11 +74,10 @@ type Inspection struct {
 	OldFreeWords  uint64
 	OldMarksFresh bool
 
-	// Threads, when the run is multi-threaded, is the simulated thread
-	// set: every live thread's stack is a root source, and every thread's
-	// private barrier state (SSB or staged cards) is part of the
-	// remembered set. Nil for single-thread runs, where Stack/SSB/Cards
-	// carry the whole state.
+	// Threads is the simulated thread set (never nil; one thread for a
+	// single-threaded run): every live thread's stack is a root source,
+	// and under the SSB barrier every thread's buffer is part of the
+	// remembered set.
 	Threads *rt.ThreadSet
 	// GCWorkers is the configured parallel-copy worker count (0 or 1
 	// means the serial collector: no overlap, no worker tallies).
@@ -98,7 +96,6 @@ func (c *Generational) Inspect() Inspection {
 	in.YoungSpaces = []mem.SpaceID{c.nursery.ID()}
 	in.OldSpaces = []mem.SpaceID{c.ten.ID()}
 	in.Generational = true
-	in.SSB = c.ssb
 	in.Cards = c.cards
 	in.Sticky = slices.Clone(c.sticky)
 	in.Policy = mergePolicies(c.cfg.Pretenure, c.advPolicy)

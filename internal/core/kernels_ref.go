@@ -124,7 +124,6 @@ func (e *evacuator) refScanObject(a mem.Addr) {
 func (c *Generational) refProcessBarrier(ev *evacuator) {
 	nid := c.nursery.ID()
 	if c.cards != nil {
-		c.flushStages()
 		for _, fa := range c.refCardFieldAddrs() {
 			c.beginQ()
 			c.forwardIfYoung(ev, fa, nid)
@@ -146,10 +145,6 @@ func (c *Generational) refProcessBarrier(ev *evacuator) {
 			c.endQ()
 		}
 		b.Drain()
-	}
-	if c.threads == nil {
-		drain(c.ssb)
-		return
 	}
 	// Thread-id order, dead threads included — same contract as the
 	// optimized drain.

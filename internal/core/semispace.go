@@ -83,10 +83,11 @@ func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Se
 	return c
 }
 
-// AttachThreads connects the simulated thread set: root scanning covers
-// every live thread's stack. Must be called before the first collection;
-// thread 0 must wrap the collector's primary stack. No barrier state is
-// attached — the semispace collector has no write barrier.
+// AttachThreads replaces the collector's thread set of one with ts: root
+// scanning covers every live thread's stack. Must be called before the
+// first collection; thread 0 must wrap the collector's primary stack. No
+// barrier state is attached — the semispace collector has no write
+// barrier.
 func (c *Semispace) AttachThreads(ts *rt.ThreadSet) { c.attachThreads(ts) }
 
 // Name implements Collector.
@@ -251,6 +252,7 @@ func (c *Semispace) Collect(bool) {
 	}
 	if newSize < live+64 {
 		newSize = live + 64 // budget exhausted; keep limping with minimum headroom
+		c.stats.EmergencyGrows++
 	}
 	c.cur = c.heap.GrowSpace(toID, newSize)
 	c.heap.ReplaceSpace(fromID, 0)

@@ -24,10 +24,10 @@ type interp struct {
 	depth    int   // current thread's simulated frames (>= 1: the base frame stays)
 	handlers []int // mirror of the current thread's handler chain: owning frame depth
 
-	// threads is nil for programs without thread ops, which therefore run
-	// the exact single-thread code paths. states holds each suspended
-	// thread's interpreter state by id (the current thread's entry is
-	// stale while it runs); curID names the running thread.
+	// threads is the run's thread set (one thread until the program
+	// spawns). states holds each suspended thread's interpreter state by
+	// id (the current thread's entry is stale while it runs); curID names
+	// the running thread.
 	threads *rt.ThreadSet
 	states  []threadState
 	curID   int
@@ -45,8 +45,7 @@ type threadState struct {
 
 // newInterp builds the runtime for one run: fresh trace table, stack,
 // and the uniform all-pointer fuzz frame, with the base frame pushed.
-// threads is non-nil only for programs with thread ops; the caller has
-// already attached it to the collector.
+// The caller has already attached threads to the collector.
 func newInterp(col core.Collector, stack *rt.Stack, table *rt.TraceTable, meter *costmodel.Meter, threads *rt.ThreadSet) *interp {
 	slots := make([]rt.SlotTrace, NumRoots+1)
 	slots[0] = rt.NP()
@@ -54,12 +53,10 @@ func newInterp(col core.Collector, stack *rt.Stack, table *rt.TraceTable, meter 
 		slots[i] = rt.PTR()
 	}
 	fi := table.Register("fuzz", slots, nil)
-	in := &interp{col: col, stack: stack, meter: meter, fi: fi, threads: threads, checksum: fnvOffset}
+	in := &interp{col: col, stack: stack, meter: meter, fi: fi, threads: threads,
+		states: []threadState{{depth: 1}}, checksum: fnvOffset}
 	stack.Call(fi)
 	in.depth = 1
-	if threads != nil {
-		in.states = []threadState{{depth: 1}}
-	}
 	return in
 }
 
@@ -264,7 +261,7 @@ func (in *interp) step(op Op) {
 	case OpWork:
 		in.meter.ChargeN(costmodel.Client, costmodel.ClientWork, op.V%997)
 	case OpSpawn:
-		if in.threads == nil || in.threads.Len() >= MaxThreads {
+		if in.threads.Len() >= MaxThreads {
 			return
 		}
 		// Read the spawner's roots before creating the thread; no
@@ -283,9 +280,6 @@ func (in *interp) step(op Op) {
 		in.states = append(in.states, threadState{depth: 1})
 		in.fold(0x5a00 | uint64(t.ID()))
 	case OpSwitch:
-		if in.threads == nil {
-			return
-		}
 		id := int(op.A) % in.threads.Len()
 		t := in.threads.Thread(id)
 		if t.Dead() || id == in.curID {
@@ -294,9 +288,6 @@ func (in *interp) step(op Op) {
 		in.switchTo(id)
 		in.fold(0x5c00 | uint64(id))
 	case OpJoin:
-		if in.threads == nil {
-			return
-		}
 		id := int(op.A) % in.threads.Len()
 		if id == 0 || id == in.curID || in.threads.Thread(id).Dead() {
 			return
@@ -374,14 +365,11 @@ func (in *interp) walk(op Op) {
 
 // ---- Client-visible heap fingerprint ----------------------------------------
 
-// rootStacks lists the stacks whose slots are client-visible roots: the
-// primary stack alone for thread-free programs, otherwise every live
-// thread's stack in thread-id order (a joined thread's stack stops
-// being a root source, so its private garbage is legitimately dead).
-func rootStacks(primary *rt.Stack, ts *rt.ThreadSet) []*rt.Stack {
-	if ts == nil {
-		return []*rt.Stack{primary}
-	}
+// rootStacks lists the stacks whose slots are client-visible roots:
+// every live thread's stack in thread-id order (a joined thread's stack
+// stops being a root source, so its private garbage is legitimately
+// dead).
+func rootStacks(ts *rt.ThreadSet) []*rt.Stack {
 	var out []*rt.Stack
 	for _, t := range ts.Threads() {
 		if !t.Dead() {

@@ -6,7 +6,6 @@ import (
 
 	"tilgc/internal/core"
 	"tilgc/internal/harness"
-	"tilgc/internal/rt"
 	"tilgc/internal/sanitize"
 	"tilgc/internal/trace"
 )
@@ -82,19 +81,11 @@ func execute(p *Program, cfg Config, traced, sanitized bool) (out runOutput) {
 		out.panicked = err // an invalid matrix entry fails like a crash
 		return out
 	}
-	// Programs that touch the thread machine get a ThreadSet, attached
-	// before any allocation so the collector routes barriers and root
-	// scans through it from the first collection; thread-free programs
-	// keep the exact single-thread code paths.
-	if p.HasThreadOps() {
-		r.AttachThreads(rt.NewThreadSet(r.Stack, r.Meter))
-	}
-
 	in := newInterp(r.Col, r.Stack, r.Table, r.Meter, r.Threads)
 	in.run(p)
 
 	err = r.Finish()
-	out.fp = fingerprint(r.Col, rootStacks(r.Stack, r.Threads))
+	out.fp = fingerprint(r.Col, rootStacks(r.Threads))
 	out.checksum = in.checksum
 	out.stats = *r.Col.Stats()
 	if err != nil {

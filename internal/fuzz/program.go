@@ -176,8 +176,7 @@ func (o Op) site() obj.SiteID { return obj.SiteID(1 + o.B%NumSites) }
 func root(x uint16) int { return 1 + int(x)%NumRoots }
 
 // HasThreadOps reports whether the program ever touches the thread
-// machine. The interpreter builds a ThreadSet only for programs that do,
-// so thread-free programs run the exact single-thread code paths.
+// machine (spawns, switches or joins).
 func (p *Program) HasThreadOps() bool {
 	for _, op := range p.Ops {
 		switch op.Kind {

@@ -33,9 +33,8 @@ type Spec struct {
 	// Collector configures the collector. Build fills in Trace and
 	// Advisor from the recorder and adapt engine it creates.
 	Collector core.GenConfig
-	// Threads > 1 runs the mutator over that many simulated threads; 0
-	// or 1 is the single-thread runtime with no thread set (see
-	// Runtime.AttachThreads to attach one at T=1).
+	// Threads is the number of simulated mutator threads Build creates;
+	// 0 or 1 is a set of one. Fuzz programs spawn more as they run.
 	Threads int
 	// Profile attaches the heap profiler. Trace and Adapt attach it too,
 	// internally: the recorder borrows its per-site death accounting and
@@ -128,15 +127,14 @@ type Runtime struct {
 	Col     core.Collector
 	Threads *rt.ThreadSet
 
-	gen    *core.Generational // nil for the semispace collector
-	attach func(*rt.ThreadSet)
+	gen *core.Generational // nil for the semispace collector
 }
 
 // Build validates s and assembles its runtime in a fixed order: meter,
 // trace table and stack; the profiler (when profiling, tracing or
 // adapting) with its death sink wired to the recorder; the recorder; the
-// adapt engine; the collector, with the thread set attached before the
-// first allocation; then Wrap and the sanitizer, outermost.
+// adapt engine; the collector, with the thread set attached and spawned
+// before the first allocation; then Wrap and the sanitizer, outermost.
 func Build(s Spec) (*Runtime, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -168,6 +166,7 @@ func Build(s Spec) (*Runtime, error) {
 
 	g := s.Collector
 	g.Trace = r.Rec
+	r.Threads = rt.NewThreadSet(r.Stack, r.Meter)
 	if s.Semispace {
 		c := core.NewSemispace(r.Stack, r.Meter, profHook, core.SemispaceConfig{
 			BudgetWords:      g.BudgetWords,
@@ -177,21 +176,18 @@ func Build(s Spec) (*Runtime, error) {
 			Workers:          g.Workers,
 			Trace:            g.Trace,
 		})
-		r.Col, r.attach = c, c.AttachThreads
+		c.AttachThreads(r.Threads)
+		r.Col = c
 	} else {
 		if r.Engine != nil {
 			g.Advisor = r.Engine
 		}
 		r.gen = core.NewGenerational(r.Stack, r.Meter, profHook, g)
-		r.Col, r.attach = r.gen, r.gen.AttachThreads
+		r.gen.AttachThreads(r.Threads)
+		r.Col = r.gen
 	}
-	// The thread set is created only for T > 1, so single-thread runs
-	// execute the exact pre-thread code paths.
-	if s.Threads > 1 {
-		r.AttachThreads(rt.NewThreadSet(r.Stack, r.Meter))
-		for i := 1; i < s.Threads; i++ {
-			r.Threads.Spawn()
-		}
+	for i := 1; i < s.Threads; i++ {
+		r.Threads.Spawn()
 	}
 	if s.Wrap != nil {
 		r.Col = s.Wrap(r.Col)
@@ -200,13 +196,6 @@ func Build(s Spec) (*Runtime, error) {
 		r.Col = sanitize.Wrap(r.Col, *s.Sanitize)
 	}
 	return r, nil
-}
-
-// AttachThreads connects a thread set to the collector. It must run
-// before the first allocation; Build calls it for Threads > 1.
-func (r *Runtime) AttachThreads(ts *rt.ThreadSet) {
-	r.attach(ts)
-	r.Threads = ts
 }
 
 // Mutator returns a workload mutator over the runtime. A traced runtime

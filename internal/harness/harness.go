@@ -147,7 +147,7 @@ type RunConfig struct {
 	// Threads runs the workload over this many simulated mutator threads
 	// (a round-robin scheduler in the workload layer; the server family
 	// serves request r on thread r mod Threads). 0 or 1 is the
-	// single-thread run, byte-identical to pre-thread builds. Calibration
+	// single-thread run, a thread set of one. Calibration
 	// always runs single-threaded: the live-set bound and site profile
 	// are schedule-independent.
 	Threads int

@@ -149,9 +149,9 @@ func TestTWGridDeterministic(t *testing.T) {
 	}
 }
 
-// TestTWGridSpecialCase pins the T=1 special case: explicitly requesting
-// one thread and one worker takes the exact pre-thread code paths, so the
-// trace stream is byte-identical to the zero-value config.
+// TestTWGridSpecialCase pins the T=1 case: explicitly requesting one
+// thread and one worker builds the same runtime as the zero-value config,
+// so the trace stream is byte-identical to it.
 func TestTWGridSpecialCase(t *testing.T) {
 	explicit := gridConfig(1, 1)
 	zero := explicit

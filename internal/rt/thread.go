@@ -4,25 +4,22 @@ import (
 	"fmt"
 
 	"tilgc/internal/costmodel"
-	"tilgc/internal/mem"
 )
 
 // Thread is one simulated mutator thread: its own stack — and therefore
 // its own frames, registers, handlers, and stack markers — plus the
-// write-barrier state the collector assigns it when it is attached: a
-// private sequential store buffer, or a private dirty-card staging area
-// over the shared card table. Threads are cooperative and deterministic:
-// exactly one runs at a time, and the scheduler (the workload or the
-// fuzz interpreter) switches between them at explicit points, so a
-// single-thread program is the T=1 special case with byte-identical
-// traces.
+// private sequential store buffer an SSB-barrier collector equips it
+// with (card-barrier collectors record every thread's stores in the one
+// shared card table). Threads are cooperative and deterministic: exactly
+// one runs at a time, and the scheduler (the workload or the fuzz
+// interpreter) switches between them at explicit points. Every collector
+// owns a thread set; a single-thread run is a set of one.
 type Thread struct {
 	id    int
 	stack *Stack
 	dead  bool
 
-	ssb   *SSB       // set by an SSB-barrier collector
-	stage *CardStage // set by a card-barrier collector
+	ssb *SSB // set by an SSB-barrier collector
 }
 
 // ID returns the thread's id (0 is the primary thread).
@@ -44,16 +41,9 @@ func (t *Thread) SSB() *SSB { return t.ssb }
 // SetSSB assigns the thread's store buffer.
 func (t *Thread) SetSSB(b *SSB) { t.ssb = b }
 
-// Stage returns the thread's card staging area (nil unless a card-barrier
-// collector attached one).
-func (t *Thread) Stage() *CardStage { return t.stage }
-
-// SetStage assigns the thread's card staging area.
-func (t *Thread) SetStage(s *CardStage) { t.stage = s }
-
 // ThreadSet owns the simulated threads of one run. It is created around
-// the primary stack (thread 0); collectors attach to it to equip each
-// thread with barrier state and to learn of later spawns.
+// the primary stack (thread 0); the collector that owns it equips each
+// thread with barrier state and learns of later spawns (OnSpawn).
 type ThreadSet struct {
 	meter   *costmodel.Meter
 	table   *TraceTable
@@ -141,50 +131,4 @@ func (ts *ThreadSet) Join(id int) {
 		panic(fmt.Sprintf("rt: thread %d joining itself", id))
 	}
 	t.dead = true
-}
-
-// CardStage is a thread's private dirty-card staging area: pointer
-// stores dirty the stage instead of the shared CardTable, and the
-// collector flushes every stage into the table at the start of each
-// collection. Staging keeps the mutator-side barrier thread-local while
-// the card table itself stays shared; because Flush is a set-union and
-// CardTable.Cards sorts, the flush order of stages (and of cards within
-// a stage) cannot affect any observable state.
-type CardStage struct {
-	table *CardTable
-	dirty map[uint64]struct{}
-}
-
-// NewCardStage creates an empty staging area over the shared table.
-func NewCardStage(table *CardTable) *CardStage {
-	return &CardStage{table: table, dirty: make(map[uint64]struct{})}
-}
-
-// Record stages the card containing addr, charging exactly what a direct
-// CardTable.Record would: the store's barrier cost is the same whether
-// or not it is staged, and the table's lifetime update count covers all
-// threads.
-func (s *CardStage) Record(addr mem.Addr) {
-	s.dirty[uint64(addr)>>s.table.cardShift] = struct{}{}
-	s.table.total++
-	s.table.meter.Charge(costmodel.Client, costmodel.WriteBarrier)
-}
-
-// Staged returns the number of staged dirty cards.
-func (s *CardStage) Staged() int { return len(s.dirty) }
-
-// Covers reports whether the card containing addr is staged here (the
-// per-thread analogue of CardTable.Covers, for integrity checkers).
-func (s *CardStage) Covers(addr mem.Addr) bool {
-	_, ok := s.dirty[uint64(addr)>>s.table.cardShift]
-	return ok
-}
-
-// Flush merges the staged cards into the shared table and empties the
-// stage. Charges nothing: the stores were charged at Record time.
-func (s *CardStage) Flush() {
-	for id := range s.dirty {
-		s.table.dirty[id] = struct{}{}
-	}
-	clear(s.dirty)
 }

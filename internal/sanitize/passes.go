@@ -162,19 +162,15 @@ func (ck *checker) checkRemembered() {
 	}
 	heap := ck.in.Heap
 
-	// The barrier state is the union over every thread — dead threads
-	// included: their pre-join stores are still pending remembered-set
-	// entries. Single-thread runs have just the collector's own SSB.
+	// Under the SSB barrier the buffered state is the union over every
+	// thread — dead threads included: their pre-join stores are still
+	// pending remembered-set entries.
 	ssbSet := make(map[mem.Addr]bool)
-	if ck.in.Threads != nil && ck.in.Cards == nil {
+	if ck.in.Cards == nil {
 		for _, t := range ck.in.Threads.Threads() {
 			for _, fa := range t.SSB().Entries() {
 				ssbSet[fa] = true
 			}
-		}
-	} else if ck.in.SSB != nil {
-		for _, fa := range ck.in.SSB.Entries() {
-			ssbSet[fa] = true
 		}
 	}
 	stickySet := make(map[mem.Addr]bool, len(ck.in.Sticky))
@@ -194,19 +190,8 @@ func (ck *checker) checkRemembered() {
 		spans = append(spans, span{r.Space, r.Start, r.End})
 	}
 	covered := func(fa mem.Addr) bool {
-		if ck.in.Cards != nil {
-			if ck.in.Cards.Covers(fa) {
-				return true
-			}
-			// A store staged in a thread's private card stage is covered:
-			// the collector flushes every stage before examining cards.
-			if ck.in.Threads != nil {
-				for _, t := range ck.in.Threads.Threads() {
-					if t.Stage().Covers(fa) {
-						return true
-					}
-				}
-			}
+		if ck.in.Cards != nil && ck.in.Cards.Covers(fa) {
+			return true
 		}
 		if ssbSet[fa] || stickySet[fa] {
 			return true

@@ -47,17 +47,51 @@ type recRun struct {
 	Label string `json:"label"`
 }
 
-type recEvent struct {
-	T      string `json:"t"`
-	Run    int    `json:"run"`
-	Seq    uint64 `json:"seq"`
-	Major  *bool  `json:"major,omitempty"`
-	Phase  string `json:"phase,omitempty"`
-	At     uint64 `json:"at"`
+// wireBreak is a meter breakdown on the wire. Records embed it, so its
+// fields appear at the embedding position.
+type wireBreak struct {
 	Client uint64 `json:"client"`
 	Stack  uint64 `json:"stack"`
 	Copy   uint64 `json:"copy"`
 	Adapt  uint64 `json:"adapt,omitempty"`
+}
+
+func toWire(b costmodel.Breakdown) wireBreak {
+	return wireBreak{Client: uint64(b.Client), Stack: uint64(b.GCStack),
+		Copy: uint64(b.GCCopy), Adapt: uint64(b.Adapt)}
+}
+
+func (w wireBreak) breakdown() costmodel.Breakdown {
+	return costmodel.Breakdown{Client: costmodel.Cycles(w.Client), GCStack: costmodel.Cycles(w.Stack),
+		GCCopy: costmodel.Cycles(w.Copy), Adapt: costmodel.Cycles(w.Adapt)}
+}
+
+// wireStamp is a breakdown preceded by its redundant total, "at".
+type wireStamp struct {
+	At uint64 `json:"at"`
+	wireBreak
+}
+
+func toStamp(b costmodel.Breakdown) wireStamp {
+	return wireStamp{At: uint64(b.Total()), wireBreak: toWire(b)}
+}
+
+// breakdown converts back, rejecting an "at" that disagrees with the sum.
+func (w wireStamp) breakdown() (costmodel.Breakdown, error) {
+	b := w.wireBreak.breakdown()
+	if costmodel.Cycles(w.At) != b.Total() {
+		return b, fmt.Errorf("at %d != client+stack+copy+adapt %d", w.At, b.Total())
+	}
+	return b, nil
+}
+
+type recEvent struct {
+	T     string `json:"t"`
+	Run   int    `json:"run"`
+	Seq   uint64 `json:"seq"`
+	Major *bool  `json:"major,omitempty"`
+	Phase string `json:"phase,omitempty"`
+	wireStamp
 	// Workers appears on phase_end records of parallel collection phases
 	// only (W > 1), so single-worker streams — including the golden
 	// fixture — are byte-identical to pre-parallel builds.
@@ -66,12 +100,9 @@ type recEvent struct {
 }
 
 type recRunEnd struct {
-	T      string `json:"t"`
-	Run    int    `json:"run"`
-	Client uint64 `json:"client"`
-	Stack  uint64 `json:"stack"`
-	Copy   uint64 `json:"copy"`
-	Adapt  uint64 `json:"adapt,omitempty"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	wireBreak
 	// Overlap is the run's hidden parallel-worker cycles (see
 	// RunData.Overlap); omitted when zero, i.e. on every single-worker run.
 	Overlap uint64 `json:"overlap,omitempty"`
@@ -91,11 +122,7 @@ type recAdapt struct {
 	SurvivalPPM uint64 `json:"survival_ppm"`
 	GarbagePPM  uint64 `json:"garbage_ppm"`
 	SampleWords uint64 `json:"sample_words"`
-	At          uint64 `json:"at"`
-	Client      uint64 `json:"client"`
-	Stack       uint64 `json:"stack"`
-	Copy        uint64 `json:"copy"`
-	Adapt       uint64 `json:"adapt,omitempty"`
+	wireStamp
 }
 
 // recHeap is one end-of-collection footprint sample. Like recAdapt it is
@@ -103,14 +130,10 @@ type recAdapt struct {
 // default streams (and the golden fixture) are byte-identical to builds
 // predating it.
 type recHeap struct {
-	T      string         `json:"t"`
-	Run    int            `json:"run"`
-	Seq    uint64         `json:"seq"`
-	At     uint64         `json:"at"`
-	Client uint64         `json:"client"`
-	Stack  uint64         `json:"stack"`
-	Copy   uint64         `json:"copy"`
-	Adapt  uint64         `json:"adapt,omitempty"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	Seq uint64 `json:"seq"`
+	wireStamp
 	Spaces []recHeapSpace `json:"spaces"`
 }
 
@@ -199,16 +222,7 @@ func (f *File) WriteJSONL(w io.Writer) error {
 	for i, d := range f.Runs {
 		enc.Encode(recRun{T: "run", Run: i, Label: d.Label})
 		for _, e := range d.Events {
-			rec := recEvent{
-				T:      eventRecName(e.Kind),
-				Run:    i,
-				Seq:    e.Seq,
-				At:     uint64(e.At()),
-				Client: uint64(e.Break.Client),
-				Stack:  uint64(e.Break.GCStack),
-				Copy:   uint64(e.Break.GCCopy),
-				Adapt:  uint64(e.Break.Adapt),
-			}
+			rec := recEvent{T: eventRecName(e.Kind), Run: i, Seq: e.Seq, wireStamp: toStamp(e.Break)}
 			switch e.Kind {
 			case EvGCBegin:
 				major := e.Major
@@ -221,29 +235,19 @@ func (f *File) WriteJSONL(w io.Writer) error {
 			}
 			enc.Encode(rec)
 		}
-		end := recRunEnd{T: "run_end", Run: i,
-			Client: uint64(d.Final.Client), Stack: uint64(d.Final.GCStack),
-			Copy: uint64(d.Final.GCCopy), Adapt: uint64(d.Final.Adapt),
-			Overlap: uint64(d.Overlap)}
-		enc.Encode(end)
+		enc.Encode(recRunEnd{T: "run_end", Run: i, wireBreak: toWire(d.Final), Overlap: uint64(d.Overlap)})
 		for _, a := range d.Adapt {
 			enc.Encode(recAdapt{T: "adapt", Run: i, Seq: a.Seq,
 				Site: uint16(a.Site), Verb: a.Verb,
 				SurvivalPPM: a.SurvivalPPM, GarbagePPM: a.GarbagePPM, SampleWords: a.SampleWords,
-				At:     uint64(a.Break.Total()),
-				Client: uint64(a.Break.Client), Stack: uint64(a.Break.GCStack),
-				Copy: uint64(a.Break.GCCopy), Adapt: uint64(a.Break.Adapt)})
+				wireStamp: toStamp(a.Break)})
 		}
 		for _, h := range d.Heap {
 			spaces := make([]recHeapSpace, len(h.Spaces))
 			for j, sp := range h.Spaces {
 				spaces[j] = recHeapSpace{Name: sp.Name, Live: sp.Live, Committed: sp.Committed}
 			}
-			enc.Encode(recHeap{T: "heap", Run: i, Seq: h.Seq,
-				At:     uint64(h.Break.Total()),
-				Client: uint64(h.Break.Client), Stack: uint64(h.Break.GCStack),
-				Copy: uint64(h.Break.GCCopy), Adapt: uint64(h.Break.Adapt),
-				Spaces: spaces})
+			enc.Encode(recHeap{T: "heap", Run: i, Seq: h.Seq, wireStamp: toStamp(h.Break), Spaces: spaces})
 		}
 		for _, q := range d.Reqs {
 			enc.Encode(recReq{T: "req", Run: i, ID: q.ID,
@@ -312,26 +316,16 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			if err := l.Decode(&re); err != nil {
 				return err
 			}
-			cur.Final = costmodel.Breakdown{
-				Client:  costmodel.Cycles(re.Client),
-				GCStack: costmodel.Cycles(re.Stack),
-				GCCopy:  costmodel.Cycles(re.Copy),
-				Adapt:   costmodel.Cycles(re.Adapt),
-			}
+			cur.Final = re.breakdown()
 			cur.Overlap = costmodel.Cycles(re.Overlap)
 		case "adapt":
 			var ra recAdapt
 			if err := l.Decode(&ra); err != nil {
 				return err
 			}
-			b := costmodel.Breakdown{
-				Client:  costmodel.Cycles(ra.Client),
-				GCStack: costmodel.Cycles(ra.Stack),
-				GCCopy:  costmodel.Cycles(ra.Copy),
-				Adapt:   costmodel.Cycles(ra.Adapt),
-			}
-			if costmodel.Cycles(ra.At) != b.Total() {
-				return fmt.Errorf("at %d != breakdown total %d", ra.At, b.Total())
+			b, err := ra.breakdown()
+			if err != nil {
+				return err
 			}
 			switch ra.Verb {
 			case AdaptPromote, AdaptDemote, AdaptWarm:
@@ -348,14 +342,9 @@ func ReadJSONL(r io.Reader) (*File, error) {
 			if err := l.Decode(&rh); err != nil {
 				return err
 			}
-			b := costmodel.Breakdown{
-				Client:  costmodel.Cycles(rh.Client),
-				GCStack: costmodel.Cycles(rh.Stack),
-				GCCopy:  costmodel.Cycles(rh.Copy),
-				Adapt:   costmodel.Cycles(rh.Adapt),
-			}
-			if costmodel.Cycles(rh.At) != b.Total() {
-				return fmt.Errorf("at %d != breakdown total %d", rh.At, b.Total())
+			b, err := rh.breakdown()
+			if err != nil {
+				return err
 			}
 			spaces := make([]SpaceOcc, len(rh.Spaces))
 			for j, sp := range rh.Spaces {
@@ -422,14 +411,9 @@ func ReadJSONL(r io.Reader) (*File, error) {
 
 // event converts a wire event record back to the in-memory form.
 func (re recEvent) event(t string) (Event, error) {
-	b := costmodel.Breakdown{
-		Client:  costmodel.Cycles(re.Client),
-		GCStack: costmodel.Cycles(re.Stack),
-		GCCopy:  costmodel.Cycles(re.Copy),
-		Adapt:   costmodel.Cycles(re.Adapt),
-	}
-	if costmodel.Cycles(re.At) != b.Total() {
-		return Event{}, fmt.Errorf("at %d != client+stack+copy+adapt %d", re.At, b.Total())
+	b, err := re.breakdown()
+	if err != nil {
+		return Event{}, err
 	}
 	ev := Event{Seq: re.Seq, Break: b}
 	if len(re.Workers) > 0 && t != "phase_end" {

@@ -32,10 +32,10 @@ type Mutator struct {
 	// server workloads emit via Request. Nil for untraced runs (and for
 	// batch workloads, which never call Request).
 	Rec *trace.Recorder
-	// Threads, when the harness attaches a thread set, lets workloads
+	// Threads is the collector's thread set, which lets workloads
 	// schedule work across simulated mutator threads (SetThread); thread 0
-	// wraps Stack. Nil is the single-thread run — workloads must not
-	// change behaviour in that case, so T=1 stays byte-identical.
+	// wraps Stack. The harness always sets it. A Mutator built by hand
+	// may leave it nil, and then runs as a single thread.
 	Threads *rt.ThreadSet
 }
 
