@@ -27,7 +27,7 @@
 package adapt
 
 import (
-	"sort"
+	"slices"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/obj"
@@ -143,7 +143,7 @@ type Engine struct {
 	meter  *costmodel.Meter
 	tr     *trace.Recorder // nil-safe, like every recorder call site
 
-	sites   map[obj.SiteID]*siteState
+	sites   []*siteState // by site id; nil for a site not seen yet
 	touched []obj.SiteID // sites with epoch deltas, deduped via touched flag
 
 	epoch      uint64
@@ -162,16 +162,18 @@ func New(meter *costmodel.Meter, tr *trace.Recorder, params Params) *Engine {
 		params: params,
 		meter:  meter,
 		tr:     tr,
-		sites:  make(map[obj.SiteID]*siteState),
 	}
 }
 
 func (e *Engine) state(site obj.SiteID) *siteState {
-	st, ok := e.sites[site]
-	if !ok {
-		st = &siteState{site: site}
-		e.sites[site] = st
+	if int(site) < len(e.sites) && e.sites[site] != nil {
+		return e.sites[site]
 	}
+	if n := int(site) + 1; n > len(e.sites) {
+		e.sites = append(e.sites, make([]*siteState, n-len(e.sites))...)
+	}
+	st := &siteState{site: site}
+	e.sites[site] = st
 	return st
 }
 
@@ -193,8 +195,7 @@ func (e *Engine) sample() {
 // pays for the advisor even when the answer is no.
 func (e *Engine) ShouldPretenure(site obj.SiteID) bool {
 	e.meter.Charge(costmodel.Adapt, costmodel.AdaptProbe)
-	st := e.sites[site]
-	return st != nil && st.pretenured
+	return int(site) < len(e.sites) && e.sites[site] != nil && e.sites[site].pretenured
 }
 
 // ObserveAlloc implements prof.Observer. Only pretenured placements are
@@ -264,7 +265,7 @@ func (e *Engine) fold(decide bool) {
 	if len(e.touched) == 0 {
 		return
 	}
-	sort.Slice(e.touched, func(i, j int) bool { return e.touched[i] < e.touched[j] })
+	slices.Sort(e.touched)
 	for _, id := range e.touched {
 		st := e.sites[id]
 		st.touched = false
@@ -418,14 +419,11 @@ type Snapshot struct {
 
 // Snapshot freezes the engine's state.
 func (e *Engine) Snapshot() *Snapshot {
-	ids := make([]obj.SiteID, 0, len(e.sites))
-	for id := range e.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sites := make([]SiteState, 0, len(ids))
-	for _, id := range ids {
-		st := e.sites[id]
+	sites := make([]SiteState, 0, len(e.sites))
+	for _, st := range e.sites {
+		if st == nil {
+			continue
+		}
 		sites = append(sites, SiteState{
 			Site: st.site, Pretenured: st.pretenured,
 			SurvWords: st.survWords, DeadWords: st.deadWords,

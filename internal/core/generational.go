@@ -366,7 +366,7 @@ func (c *Generational) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask ui
 	// The online advisor (§9) decides per allocation; its answers change
 	// at collection boundaries as sites are promoted and demoted.
 	if c.cfg.Advisor != nil && c.cfg.Advisor.ShouldPretenure(site) {
-		c.advPolicy.sites[site] = PretenureDecision{}
+		c.advPolicy.set(site, decPretenure)
 		return c.allocPretenured(k, length, site, mask, size)
 	}
 
@@ -617,6 +617,11 @@ func (c *Generational) minorGC() {
 	c.endParallelPhase(trace.PhaseCopy)
 	if c.prof != nil {
 		c.prof.OnSpaceCondemned(c.nursery.ID())
+		if agingTo != nil {
+			// The aging from-space was evacuated too: what stayed in it is
+			// dead, and its id is the next minor's aging to-space.
+			c.prof.OnSpaceCondemned(c.aging.ID())
+		}
 		c.prof.OnGCEnd()
 	}
 	c.nursery.Reset()

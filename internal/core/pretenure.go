@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
@@ -20,27 +20,48 @@ type PretenureDecision struct {
 // PretenurePolicy maps allocation sites to pretenuring decisions. Sites
 // absent from the policy allocate normally (in the nursery). Policies are
 // built from heap profiles (internal/prof) using the paper's old% cutoff.
+// The policy is one decision byte per site id, so the allocation path's
+// Lookup is a bounds check and a load.
 type PretenurePolicy struct {
-	sites map[obj.SiteID]PretenureDecision
+	dec []uint8 // by site id: 0 (absent), or decPretenure | decOnlyOldRefs
 }
+
+const (
+	decPretenure   uint8 = 1 << iota // the site is pretenured
+	decOnlyOldRefs                   // with PretenureDecision.OnlyOldRefs
+)
 
 // NewPretenurePolicy builds a policy from explicit per-site decisions.
 func NewPretenurePolicy(sites map[obj.SiteID]PretenureDecision) *PretenurePolicy {
-	cp := make(map[obj.SiteID]PretenureDecision, len(sites))
-	for k, v := range sites {
-		cp[k] = v
+	n := 0
+	for id := range sites {
+		n = max(n, int(id)+1)
 	}
-	return &PretenurePolicy{sites: cp}
+	p := &PretenurePolicy{dec: make([]uint8, n)}
+	for id, d := range sites {
+		p.dec[id] = decPretenure
+		if d.OnlyOldRefs {
+			p.dec[id] |= decOnlyOldRefs
+		}
+	}
+	return p
+}
+
+// set records the decision byte code for site.
+func (p *PretenurePolicy) set(site obj.SiteID, code uint8) {
+	if n := int(site) + 1; n > len(p.dec) {
+		p.dec = append(p.dec, make([]uint8, n-len(p.dec))...)
+	}
+	p.dec[site] = code
 }
 
 // Lookup returns the decision for a site and whether the site is
 // pretenured at all.
 func (p *PretenurePolicy) Lookup(site obj.SiteID) (PretenureDecision, bool) {
-	if p == nil {
+	if p == nil || int(site) >= len(p.dec) || p.dec[site] == 0 {
 		return PretenureDecision{}, false
 	}
-	d, ok := p.sites[site]
-	return d, ok
+	return PretenureDecision{OnlyOldRefs: p.dec[site]&decOnlyOldRefs != 0}, true
 }
 
 // Len returns the number of pretenured sites.
@@ -48,7 +69,13 @@ func (p *PretenurePolicy) Len() int {
 	if p == nil {
 		return 0
 	}
-	return len(p.sites)
+	n := 0
+	for _, d := range p.dec {
+		if d != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Sites returns the pretenured site ids in ascending order.
@@ -56,18 +83,20 @@ func (p *PretenurePolicy) Sites() []obj.SiteID {
 	if p == nil {
 		return nil
 	}
-	ids := make([]obj.SiteID, 0, len(p.sites))
-	for id := range p.sites {
-		ids = append(ids, id)
+	ids := make([]obj.SiteID, 0, len(p.dec))
+	for id, d := range p.dec {
+		if d != 0 {
+			ids = append(ids, obj.SiteID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// mergePolicies returns the union of two policies (either may be nil).
-// When only one is non-nil it is returned as-is; the merged copy is only
-// built when both contribute, so the common static-only and advisor-only
-// configurations pay nothing.
+// mergePolicies returns the union of two policies (either may be nil);
+// where both decide a site, b's decision wins. When only one is non-nil
+// it is returned as-is; the merged copy is only built when both
+// contribute, so the common static-only and advisor-only configurations
+// pay nothing.
 func mergePolicies(a, b *PretenurePolicy) *PretenurePolicy {
 	if b.Len() == 0 {
 		return a
@@ -75,14 +104,13 @@ func mergePolicies(a, b *PretenurePolicy) *PretenurePolicy {
 	if a.Len() == 0 {
 		return b
 	}
-	m := make(map[obj.SiteID]PretenureDecision, a.Len()+b.Len())
-	for k, v := range a.sites {
-		m[k] = v
+	m := &PretenurePolicy{dec: slices.Clone(a.dec)}
+	for id, d := range b.dec {
+		if d != 0 {
+			m.set(obj.SiteID(id), d)
+		}
 	}
-	for k, v := range b.sites {
-		m[k] = v
-	}
-	return &PretenurePolicy{sites: m}
+	return m
 }
 
 // region is a contiguous range of tenured words allocated into directly

@@ -6,13 +6,18 @@
 //
 // The paper's profiler works by prepending a site identifier to each
 // object and scanning the allocation area after each collection to find
-// dead objects; ours shadows every live object in per-space tables updated
-// on the collector's move/condemn callbacks, which observes exactly the
-// same events. Profiled runs are slower (the paper reports 50-200%
-// overhead; the shadow tables cost about that here too).
+// dead objects; ours shadows every live object in a record updated on the
+// collector's move/condemn callbacks, which observes exactly the same
+// events. Records live in one slab that reuses freed slots, and each space
+// has an index from word offset to record, so an allocation, a move or a
+// death costs a few slice accesses and condemning a space walks its index
+// in address order. Site statistics are a slice indexed by site id. After
+// warm-up the profiler makes no Go allocation per object; its host cost is
+// a small share of a profiled run, far below the paper's 50-200%.
 package prof
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -21,13 +26,15 @@ import (
 	"tilgc/internal/obj"
 )
 
-// objRec tracks one live object.
+// objRec tracks one live object. It is 24 bytes; the slab holds one per
+// live object.
 type objRec struct {
-	site       obj.SiteID
 	sizeBytes  uint64
 	birth      uint64 // allocation clock (total bytes allocated) at birth
-	survived   bool   // has survived at least one collection
-	pretenured bool   // was allocated directly into the tenured generation
+	movedIn    uint32 // collection epoch of the last move (0: never moved)
+	site       obj.SiteID
+	survived   bool // has survived at least one collection
+	pretenured bool // was allocated directly into the tenured generation
 }
 
 // DeathClass tells an Observer where an object was in its generational
@@ -99,22 +106,27 @@ func (s *SiteStats) CopyRatio() float64 {
 
 // Profiler implements core.Profiler.
 type Profiler struct {
-	sites     map[obj.SiteID]*SiteStats
+	sites     []*SiteStats // by site id; nil for a site not seen yet
 	siteNames map[obj.SiteID]string
-	live      map[mem.SpaceID]map[uint64]*objRec // space → offset → record
-	clock     uint64                             // total bytes allocated
+	clock     uint64 // total bytes allocated
 
-	// pendingMoves buffers OnMove destinations within one collection so
-	// that OnSpaceCondemned of the source space doesn't double-process.
-	// movedAt indexes the buffer by current destination so an object moved
-	// twice in one collection — promoted into the tenured space and then
-	// slid by mark-compact — re-targets its pending record instead of
-	// leaving it homed at the stale pre-slide address.
-	moved   []movedRec
-	movedAt map[mem.Addr]int
+	// recs is the slab of live-object records; free lists the slots
+	// (record number, 1-based) that deaths released for reuse.
+	recs []objRec
+	free []uint32
+	// index maps space id, then word offset, to the record number of the
+	// live object there (0: none). A space's index is as long as one past
+	// its highest recorded offset; condemning the space empties it but
+	// keeps its storage, so the nursery's index is reused every minor.
+	index [][]uint32
+
+	// epoch numbers the current collection. A record moved during it
+	// carries it in movedIn: such a record is a survivor, so a death or a
+	// condemn that reaches it is a collector bug.
+	epoch uint32
 
 	// deathSink, when set, receives every recorded death. Deaths fire in
-	// sorted address order (see OnSpaceCondemned), so the callback
+	// ascending address order (see OnSpaceCondemned), so the callback
 	// sequence is deterministic.
 	deathSink func(site obj.SiteID, bytes uint64)
 
@@ -122,38 +134,55 @@ type Profiler struct {
 	observer Observer
 }
 
-type movedRec struct {
-	to  mem.Addr
-	rec *objRec
-}
-
 // New creates an empty profiler. siteNames is optional documentation for
 // report rendering (may be nil).
 func New(siteNames map[obj.SiteID]string) *Profiler {
-	return &Profiler{
-		sites:     make(map[obj.SiteID]*SiteStats),
-		siteNames: siteNames,
-		live:      make(map[mem.SpaceID]map[uint64]*objRec),
-		movedAt:   make(map[mem.Addr]int),
-	}
+	return &Profiler{siteNames: siteNames, epoch: 1}
 }
 
 func (p *Profiler) site(id obj.SiteID) *SiteStats {
-	s, ok := p.sites[id]
-	if !ok {
-		s = &SiteStats{Site: id, Name: p.siteNames[id]}
-		p.sites[id] = s
+	if int(id) < len(p.sites) && p.sites[id] != nil {
+		return p.sites[id]
 	}
+	if n := int(id) + 1; n > len(p.sites) {
+		p.sites = append(p.sites, make([]*SiteStats, n-len(p.sites))...)
+	}
+	s := &SiteStats{Site: id, Name: p.siteNames[id]}
+	p.sites[id] = s
 	return s
 }
 
-func (p *Profiler) spaceTable(id mem.SpaceID) map[uint64]*objRec {
-	t, ok := p.live[id]
-	if !ok {
-		t = make(map[uint64]*objRec)
-		p.live[id] = t
+// insert indexes record k at address a. Two live records at one address
+// mean a collector reused the address without reporting the first
+// object's death or move, so insert panics rather than lose one.
+func (p *Profiler) insert(a mem.Addr, k uint32) {
+	id, off := int(a.Space()), a.Offset()
+	if id >= len(p.index) {
+		p.index = append(p.index, make([][]uint32, id+1-len(p.index))...)
 	}
-	return t
+	ix := p.index[id]
+	if n := int(off) + 1; n > len(ix) {
+		// A condemned index keeps stale entries in its spare capacity.
+		old := len(ix)
+		ix = slices.Grow(ix, n-old)[:n]
+		clear(ix[old:])
+		p.index[id] = ix
+	}
+	if ix[off] != 0 {
+		panic(fmt.Sprintf("prof: two live records at %v", a))
+	}
+	ix[off] = k
+}
+
+// take removes and returns the record number indexed at a (0: none).
+func (p *Profiler) take(a mem.Addr) uint32 {
+	id, off := int(a.Space()), a.Offset()
+	if id >= len(p.index) || off >= uint64(len(p.index[id])) {
+		return 0
+	}
+	k := p.index[id][off]
+	p.index[id][off] = 0
+	return k
 }
 
 // OnAlloc implements core.Profiler.
@@ -163,36 +192,35 @@ func (p *Profiler) OnAlloc(addr mem.Addr, site obj.SiteID, k obj.Kind, words uin
 	s.AllocBytes += bytes
 	s.AllocCount++
 	p.clock += bytes
-	p.spaceTable(addr.Space())[addr.Offset()] = &objRec{
-		site: site, sizeBytes: bytes, birth: p.clock, pretenured: pretenured,
+	rec := objRec{site: site, sizeBytes: bytes, birth: p.clock, pretenured: pretenured}
+	var n uint32
+	if last := len(p.free) - 1; last >= 0 {
+		n = p.free[last]
+		p.free = p.free[:last]
+		p.recs[n-1] = rec
+	} else {
+		p.recs = append(p.recs, rec)
+		n = uint32(len(p.recs))
 	}
+	p.insert(addr, n)
 	if p.observer != nil {
 		p.observer.ObserveAlloc(site, words, pretenured)
 	}
 }
 
-// OnMove implements core.Profiler: the object moved (promotion or tenured
-// copy); it survived and its bytes were copied.
+// OnMove implements core.Profiler: the object moved (promotion, tenured
+// copy or slide); it survived and its bytes were copied. The record is
+// indexed at its destination at once: no collector condemns a space it
+// copies into, and a second move in the same collection (promoted into
+// the tenured space, then slid by mark-compact) finds it there.
 func (p *Profiler) OnMove(from, to mem.Addr) {
-	var rec *objRec
-	if i, ok := p.movedAt[from]; ok {
-		// Second move within one collection: the record is already pending
-		// at from; re-target it rather than mis-homing it at OnGCEnd.
-		rec = p.moved[i].rec
-		p.moved[i].to = to
-		delete(p.movedAt, from)
-		p.movedAt[to] = i
-	} else {
-		t := p.spaceTable(from.Space())
-		r, ok := t[from.Offset()]
-		if !ok {
-			return // object predates profiling
-		}
-		rec = r
-		delete(t, from.Offset())
-		p.movedAt[to] = len(p.moved)
-		p.moved = append(p.moved, movedRec{to: to, rec: rec})
+	k := p.take(from)
+	if k == 0 {
+		return // object predates profiling
 	}
+	p.insert(to, k)
+	rec := &p.recs[k-1]
+	rec.movedIn = p.epoch
 	s := p.site(rec.site)
 	s.CopiedBytes += rec.sizeBytes
 	if !rec.survived {
@@ -204,55 +232,61 @@ func (p *Profiler) OnMove(from, to mem.Addr) {
 	}
 }
 
-// OnSpaceCondemned implements core.Profiler: records still tabled in the
+// OnSpaceCondemned implements core.Profiler: records still indexed in the
 // space did not move out — they are dead. Deaths are recorded in ascending
-// offset order: recordDeath accumulates a float age sum, and float addition
-// is not associative, so map iteration order would make profile output
-// depend on the run's hash seeds.
+// offset order: recordDeath accumulates a float age sum, and float
+// addition is not associative, so the order is part of the output.
 func (p *Profiler) OnSpaceCondemned(id mem.SpaceID) {
-	t, ok := p.live[id]
-	if !ok {
+	if int(id) >= len(p.index) {
 		return
 	}
-	for _, off := range sortedOffsets(t) {
-		p.recordDeath(t[off])
+	ix := p.index[id]
+	for _, k := range ix {
+		if k != 0 {
+			p.kill(k, id)
+		}
 	}
-	delete(p.live, id)
+	p.index[id] = ix[:0]
 }
 
-// sortedOffsets returns the live-table keys in ascending order.
-func sortedOffsets(t map[uint64]*objRec) []uint64 {
-	offs := make([]uint64, 0, len(t))
-	for off := range t {
-		offs = append(offs, off)
-	}
-	slices.Sort(offs)
-	return offs
-}
-
-// OnLOSDead implements core.Profiler.
+// OnLOSDead implements core.Profiler. An index left with no record past
+// the dead one is trimmed, and released once empty: a large object's
+// space dies with it and its id is never reused.
 func (p *Profiler) OnLOSDead(addr mem.Addr) {
-	t := p.spaceTable(addr.Space())
-	rec, ok := t[addr.Offset()]
-	if !ok {
+	k := p.take(addr)
+	if k == 0 {
 		return
 	}
-	delete(t, addr.Offset())
-	p.recordDeath(rec)
+	id := addr.Space()
+	p.kill(k, id)
+	ix := p.index[id]
+	for len(ix) > 0 && ix[len(ix)-1] == 0 {
+		ix = ix[:len(ix)-1]
+	}
+	if len(ix) == 0 {
+		ix = nil
+	}
+	p.index[id] = ix
 }
 
-// OnGCEnd implements core.Profiler: re-home objects moved this cycle.
-// Large objects that survived a sweep count as survivors of their first
-// collection too.
+// OnGCEnd implements core.Profiler: the collection is over, so records
+// moved in it become ordinary live records.
 func (p *Profiler) OnGCEnd() {
-	for _, m := range p.moved {
-		p.spaceTable(m.to.Space())[m.to.Offset()] = m.rec
-	}
-	p.moved = p.moved[:0]
-	clear(p.movedAt)
+	p.epoch++
 	if p.observer != nil {
 		p.observer.ObserveGCEnd()
 	}
+}
+
+// kill records the death of record k, found in space id, and frees its
+// slab slot.
+func (p *Profiler) kill(k uint32, id mem.SpaceID) {
+	rec := &p.recs[k-1]
+	if rec.movedIn == p.epoch {
+		panic(fmt.Sprintf("prof: object in space %d died in the collection that moved it there", id))
+	}
+	p.recordDeath(rec)
+	p.free = append(p.free, k)
 }
 
 func (p *Profiler) recordDeath(rec *objRec) {
@@ -294,18 +328,14 @@ func (p *Profiler) SetObserver(o Observer) {
 // in ascending order for the same float-summation reason as
 // OnSpaceCondemned.
 func (p *Profiler) Finalize() {
-	ids := make([]mem.SpaceID, 0, len(p.live))
-	for id := range p.live {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		t := p.live[id]
-		for _, off := range sortedOffsets(t) {
-			p.recordDeath(t[off])
+	for _, ix := range p.index {
+		for _, k := range ix {
+			if k != 0 {
+				p.recordDeath(&p.recs[k-1])
+			}
 		}
 	}
-	p.live = make(map[mem.SpaceID]map[uint64]*objRec)
+	p.index, p.recs, p.free = nil, nil, nil
 }
 
 // Clock returns total bytes allocated so far.
@@ -315,7 +345,9 @@ func (p *Profiler) Clock() uint64 { return p.clock }
 func (p *Profiler) TotalCopied() uint64 {
 	var n uint64
 	for _, s := range p.sites {
-		n += s.CopiedBytes
+		if s != nil {
+			n += s.CopiedBytes
+		}
 	}
 	return n
 }
@@ -324,7 +356,9 @@ func (p *Profiler) TotalCopied() uint64 {
 func (p *Profiler) TotalAllocated() uint64 {
 	var n uint64
 	for _, s := range p.sites {
-		n += s.AllocBytes
+		if s != nil {
+			n += s.AllocBytes
+		}
 	}
 	return n
 }
@@ -333,7 +367,9 @@ func (p *Profiler) TotalAllocated() uint64 {
 func (p *Profiler) Sites() []*SiteStats {
 	out := make([]*SiteStats, 0, len(p.sites))
 	for _, s := range p.sites {
-		out = append(out, s)
+		if s != nil {
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AllocBytes != out[j].AllocBytes {
@@ -350,9 +386,9 @@ func (p *Profiler) Sites() []*SiteStats {
 // noise.
 func (p *Profiler) Policy(cutoffPct float64, minObjects uint64) *core.PretenurePolicy {
 	sites := make(map[obj.SiteID]core.PretenureDecision)
-	for id, s := range p.sites {
-		if s.AllocCount >= minObjects && s.OldPct() >= cutoffPct {
-			sites[id] = core.PretenureDecision{}
+	for _, s := range p.sites {
+		if s != nil && s.AllocCount >= minObjects && s.OldPct() >= cutoffPct {
+			sites[s.Site] = core.PretenureDecision{}
 		}
 	}
 	return core.NewPretenurePolicy(sites)
@@ -364,6 +400,9 @@ func (p *Profiler) Policy(cutoffPct float64, minObjects uint64) *core.PretenureP
 func (p *Profiler) CutoffSummary(cutoffPct float64) (copiedPct, allocPct float64) {
 	var copied, alloc, tc, ta uint64
 	for _, s := range p.sites {
+		if s == nil {
+			continue
+		}
 		tc += s.CopiedBytes
 		ta += s.AllocBytes
 		if s.OldPct() >= cutoffPct {

@@ -1,8 +1,12 @@
 package prof
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tilgc/internal/core"
 	"tilgc/internal/costmodel"
@@ -33,10 +37,10 @@ func TestProfilerAllocMoveDeath(t *testing.T) {
 	p := New(nil)
 	a := mem.MakeAddr(1, 10)
 	b := mem.MakeAddr(1, 20)
-	p.OnAlloc(a, 5, obj.Record, 4, false)  // 32 bytes
-	p.OnAlloc(b, 5, obj.Record, 2, false)  // 16 bytes
-	p.OnMove(a, mem.MakeAddr(2, 1)) // a survives, copied
-	p.OnSpaceCondemned(1)           // b dies
+	p.OnAlloc(a, 5, obj.Record, 4, false) // 32 bytes
+	p.OnAlloc(b, 5, obj.Record, 2, false) // 16 bytes
+	p.OnMove(a, mem.MakeAddr(2, 1))       // a survives, copied
+	p.OnSpaceCondemned(1)                 // b dies
 	p.OnGCEnd()
 
 	s := p.sites[5]
@@ -129,9 +133,9 @@ func TestPolicyCutoff(t *testing.T) {
 
 func TestCutoffSummary(t *testing.T) {
 	p := New(nil)
-	p.sites[1] = &SiteStats{Site: 1, AllocBytes: 100, AllocCount: 10,
+	*p.site(1) = SiteStats{Site: 1, AllocBytes: 100, AllocCount: 10,
 		SurvivedFirst: 10, CopiedBytes: 900}
-	p.sites[2] = &SiteStats{Site: 2, AllocBytes: 900, AllocCount: 90,
+	*p.site(2) = SiteStats{Site: 2, AllocBytes: 900, AllocCount: 90,
 		SurvivedFirst: 0, CopiedBytes: 100}
 	copied, alloc := p.CutoffSummary(80)
 	if copied != 90 || alloc != 10 {
@@ -272,7 +276,7 @@ func TestDeathOnlySiteInReport(t *testing.T) {
 		p.OnAlloc(mem.MakeAddr(1, uint64(1+i*4)), 7, obj.Record, 4, false)
 	}
 	// The death-only site, seeded directly as a warm-started run would.
-	p.sites[42] = &SiteStats{Site: 42, Name: "seeded sink", Deaths: 3, SumDeathAgeKB: 1.5}
+	*p.site(42) = SiteStats{Site: 42, Name: "seeded sink", Deaths: 3, SumDeathAgeKB: 1.5}
 
 	s := p.sites[42]
 	if got := s.OldPct(); got != 0 {
@@ -295,5 +299,155 @@ func TestDeathOnlySiteInReport(t *testing.T) {
 		if strings.Contains(out, bad) {
 			t.Fatalf("report contains %s:\n%s", bad, out)
 		}
+	}
+}
+
+// TestObjRecIs24Bytes pins the record size: the slab holds one record per
+// live object, so a wider record is paid for on every profiled run.
+func TestObjRecIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(objRec{}); n != 24 {
+		t.Fatalf("objRec is %d bytes, want 24", n)
+	}
+}
+
+// TestProfilerCycleDoesNotAllocate: once the slab and the space indexes
+// have grown to a collector's working set, a collection cycle — nursery
+// allocations, promotions into one semispace, condemning the nursery and
+// the other semispace — makes no Go allocation.
+func TestProfilerCycleDoesNotAllocate(t *testing.T) {
+	const nursery, from, to = 1, 2, 3
+	p := New(nil)
+	var dead uint64
+	p.SetDeathSink(func(_ obj.SiteID, bytes uint64) { dead += bytes })
+	spaces := [2]mem.SpaceID{from, to}
+	cycle := func() {
+		for i := uint64(0); i < 256; i++ {
+			p.OnAlloc(mem.MakeAddr(nursery, 1+3*i), obj.SiteID(i%7), obj.Record, 3, false)
+		}
+		for i := uint64(0); i < 256; i += 4 {
+			p.OnMove(mem.MakeAddr(nursery, 1+3*i), mem.MakeAddr(spaces[1], 1+3*i))
+		}
+		p.OnSpaceCondemned(nursery)
+		p.OnSpaceCondemned(spaces[0])
+		p.OnGCEnd()
+		spaces[0], spaces[1] = spaces[1], spaces[0]
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("profiler cycle allocates %v times", allocs)
+	}
+	if dead == 0 {
+		t.Fatal("no deaths reached the sink")
+	}
+}
+
+// TestDeathsInAscendingAddressOrder: mark-sweep free lists hand out
+// addresses in descending and interleaved order, but deaths must fire in
+// ascending address order — the death sink sees them in that order, and
+// the float age sum is the one the sorted order produces, bit for bit.
+// The objects are huge so the age sum needs more than 53 bits and float
+// addition order shows in its bits.
+func TestDeathsInAscendingAddressOrder(t *testing.T) {
+	const site = 3
+	offsets := []uint64{900, 700, 500, 300, 100, 800, 200, 600, 400, 1000, 50, 950}
+	p := New(nil)
+	var seen []uint64
+	p.SetDeathSink(func(_ obj.SiteID, bytes uint64) {
+		seen = append(seen, bytes/mem.WordSize&(1<<20-1))
+	})
+	births := map[uint64]uint64{}
+	for _, off := range offsets {
+		p.OnAlloc(mem.MakeAddr(1, off), site, obj.RawArray, 1<<50|off, false)
+		births[off] = p.Clock()
+	}
+	p.OnSpaceCondemned(1)
+
+	sorted := slices.Clone(offsets)
+	slices.Sort(sorted)
+	if !slices.Equal(seen, sorted) {
+		t.Fatalf("deaths fired at offsets %v, want %v", seen, sorted)
+	}
+	sum := func(order []uint64) float64 {
+		var s float64
+		for _, off := range order {
+			s += float64(p.Clock()-births[off]) / 1024
+		}
+		return s
+	}
+	got := p.sites[site].SumDeathAgeKB
+	if want := sum(sorted); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("SumDeathAgeKB = %v, want the ascending-order sum %v", got, want)
+	}
+	if sum(offsets) == got {
+		t.Fatal("test data cannot tell allocation order from address order")
+	}
+}
+
+// mustPanic runs f and fails unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestTwoLiveRecordsAtOneAddressPanics: an address holds at most one live
+// object, so a second record there means the collector reused it without
+// reporting the first object's death or move.
+func TestTwoLiveRecordsAtOneAddressPanics(t *testing.T) {
+	p := New(nil)
+	a := mem.MakeAddr(1, 5)
+	p.OnAlloc(a, 1, obj.Record, 2, false)
+	mustPanic(t, "prof: two live records at 1:0x5", func() { p.OnAlloc(a, 1, obj.Record, 2, false) })
+
+	q := New(nil)
+	q.OnAlloc(a, 1, obj.Record, 2, false)
+	q.OnAlloc(mem.MakeAddr(2, 3), 1, obj.Record, 2, false)
+	mustPanic(t, "prof: two live records at 2:0x3", func() { q.OnMove(a, mem.MakeAddr(2, 3)) })
+}
+
+// TestCondemningADestinationPanics: a space that received survivors in a
+// collection cannot be condemned in the same collection.
+func TestCondemningADestinationPanics(t *testing.T) {
+	p := New(nil)
+	p.OnAlloc(mem.MakeAddr(1, 1), 1, obj.Record, 2, false)
+	p.OnMove(mem.MakeAddr(1, 1), mem.MakeAddr(2, 1))
+	mustPanic(t, "prof: object in space 2 died in the collection that moved it there", func() { p.OnSpaceCondemned(2) })
+
+	// After the collection ends the survivor is an ordinary record.
+	q := New(nil)
+	q.OnAlloc(mem.MakeAddr(1, 1), 1, obj.Record, 2, false)
+	q.OnMove(mem.MakeAddr(1, 1), mem.MakeAddr(2, 1))
+	q.OnGCEnd()
+	q.OnSpaceCondemned(2)
+	if q.sites[1].Deaths != 1 {
+		t.Fatal("survivor's later death not recorded")
+	}
+}
+
+// TestLOSDeathReleasesEmptyIndex: a large object's space dies with it,
+// so its index is released rather than kept for an id never reused.
+func TestLOSDeathReleasesEmptyIndex(t *testing.T) {
+	p := New(nil)
+	p.OnAlloc(mem.MakeAddr(4, 1), 1, obj.RawArray, 500, false)
+	p.OnAlloc(mem.MakeAddr(5, 1), 1, obj.RawArray, 500, false)
+	p.OnAlloc(mem.MakeAddr(5, 700), 1, obj.RawArray, 500, false)
+	p.OnLOSDead(mem.MakeAddr(4, 1))
+	if p.index[4] != nil {
+		t.Fatalf("dead large object's index kept: %v", p.index[4])
+	}
+	p.OnLOSDead(mem.MakeAddr(5, 700))
+	if len(p.index[5]) != 2 {
+		t.Fatalf("index of space 5 has length %d after its top object died, want 2", len(p.index[5]))
+	}
+	p.OnAlloc(mem.MakeAddr(4, 1), 2, obj.Record, 2, false) // a fresh record reuses a freed slab slot
+	if len(p.recs) != 3 {
+		t.Fatalf("slab has %d records, want 3", len(p.recs))
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/obj"
@@ -21,7 +20,7 @@ type Recorder struct {
 	reg   *Registry
 
 	events    []Event
-	sites     map[obj.SiteID]*SiteCounters
+	sites     []*SiteCounters // by site id; nil for a site not seen yet
 	siteNames map[obj.SiteID]string
 
 	seq       uint64
@@ -58,7 +57,7 @@ type Recorder struct {
 // SiteCounters aggregates one allocation site's telemetry: words allocated
 // (split normal vs pretenured), words copied by collections (and the share
 // copied into the tenured generation), and words that died (observed via
-// the profiler's shadow tables when one is attached).
+// the profiler's death records when one is attached).
 type SiteCounters struct {
 	Site              obj.SiteID
 	Name              string
@@ -76,7 +75,6 @@ func NewRecorder(meter *costmodel.Meter) *Recorder {
 	r := &Recorder{
 		meter: meter,
 		reg:   NewRegistry(),
-		sites: make(map[obj.SiteID]*SiteCounters),
 	}
 	r.gcCount = r.reg.Counter(MetricGCCount)
 	r.gcMajors = r.reg.Counter(MetricGCMajors)
@@ -176,11 +174,14 @@ func (r *Recorder) EndPhaseWorkers(p Phase, workers []costmodel.Cycles) {
 }
 
 func (r *Recorder) site(id obj.SiteID) *SiteCounters {
-	s, ok := r.sites[id]
-	if !ok {
-		s = &SiteCounters{Site: id, Name: r.siteNames[id]}
-		r.sites[id] = s
+	if int(id) < len(r.sites) && r.sites[id] != nil {
+		return r.sites[id]
 	}
+	if n := int(id) + 1; n > len(r.sites) {
+		r.sites = append(r.sites, make([]*SiteCounters, n-len(r.sites))...)
+	}
+	s := &SiteCounters{Site: id, Name: r.siteNames[id]}
+	r.sites[id] = s
 	return s
 }
 
@@ -356,14 +357,11 @@ func (r *Recorder) Data(label string) *RunData {
 		final = r.meter.Snapshot()
 		overlap = r.meter.Overlap()
 	}
-	ids := make([]obj.SiteID, 0, len(r.sites))
-	for id := range r.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sites := make([]SiteCounters, len(ids))
-	for i, id := range ids {
-		sites[i] = *r.sites[id]
+	sites := make([]SiteCounters, 0, len(r.sites))
+	for _, s := range r.sites {
+		if s != nil {
+			sites = append(sites, *s)
+		}
 	}
 	return &RunData{
 		Label:   label,

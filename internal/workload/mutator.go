@@ -37,6 +37,11 @@ type Mutator struct {
 	// wraps Stack. The harness always sets it. A Mutator built by hand
 	// may leave it nil, and then runs as a single thread.
 	Threads *rt.ThreadSet
+
+	// args carries CallArgs' argument values from the caller's frame to
+	// the callee's. They are consumed before the body runs, so nested
+	// calls reuse it.
+	args []uint64
 }
 
 // NewMutator creates a mutator over the given collector and runtime.
@@ -104,12 +109,12 @@ func (m *Mutator) Call(fi *rt.FrameInfo, body func()) {
 // allocation can intervene), mirroring argument registers being spilled
 // into the fresh frame by the prologue.
 func (m *Mutator) CallArgs(fi *rt.FrameInfo, srcSlots []int, body func()) {
-	vals := make([]uint64, len(srcSlots))
-	for i, s := range srcSlots {
-		vals[i] = m.Stack.Slot(s)
+	m.args = m.args[:0]
+	for _, s := range srcSlots {
+		m.args = append(m.args, m.Stack.Slot(s))
 	}
 	m.Stack.Call(fi)
-	for i, v := range vals {
+	for i, v := range m.args {
 		m.Stack.SetSlot(i+1, v)
 	}
 	body()

@@ -41,6 +41,43 @@ func TestMutatorCallArgsCopiesValues(t *testing.T) {
 	})
 }
 
+// TestMutatorCallArgsNested: a call made inside a CallArgs body reuses
+// the argument buffer; the outer callee's slots were filled before its
+// body ran, so they keep their values.
+func TestMutatorCallArgsNested(t *testing.T) {
+	m := newTestMutator(t)
+	f := m.PtrFrame("f", 3)
+	m.Call(f, func() {
+		m.SetSlot(1, 1)
+		m.SetSlot(2, 2)
+		m.SetSlot(3, 3)
+		m.CallArgs(f, []int{3, 2, 1}, func() {
+			m.CallArgs(f, []int{1}, func() {
+				if m.Slot(1) != 3 || m.Slot(2) != 0 {
+					t.Fatal("inner args wrong")
+				}
+			})
+			if m.Slot(1) != 3 || m.Slot(2) != 2 || m.Slot(3) != 1 {
+				t.Fatal("outer args disturbed by the inner call")
+			}
+		})
+	})
+}
+
+// TestMutatorCallArgsDoesNotAllocate pins the argument copy at zero Go
+// allocations per call.
+func TestMutatorCallArgsDoesNotAllocate(t *testing.T) {
+	m := newTestMutator(t)
+	f := m.PtrFrame("f", 2)
+	args := []int{2, 1}
+	noop := func() {}
+	m.Call(f, func() {
+		if allocs := testing.AllocsPerRun(100, func() { m.CallArgs(f, args, noop) }); allocs != 0 {
+			t.Fatalf("CallArgs allocates %v times per call", allocs)
+		}
+	})
+}
+
 func TestMutatorRetPtrTakeRet(t *testing.T) {
 	m := newTestMutator(t)
 	f := m.PtrFrame("f", 2)
